@@ -22,6 +22,7 @@ accessor, never through the training iterator.
 from __future__ import annotations
 
 import colorsys
+import functools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -355,16 +356,24 @@ class DomainBatch:
     tgt_images: Tensor
 
 
-def batch_indices(n: int, batch: int, seed: int, epoch: int):
-    """Pure shuffled-epoch schedule: a list of index arrays covering 0..n-1
-    once, in an order fully determined by (n, batch, seed, epoch)."""
+@functools.lru_cache(maxsize=8)
+def _epoch_schedule(n: int, batch: int, seed: int, epoch: int) -> tuple:
+    """batch_indices as a tuple of index tuples, memoized: training asks
+    for the same two schedules (source and target) on every iteration of
+    an epoch, and the value is immutable, so sharing it is safe."""
     if n < 1:
         raise ValueError("empty dataset")
     if batch < 1:
         raise ValueError("batch size must be at least 1")
     rng = Xoshiro256StarStar(derive_seed(seed, mix64(epoch)))
-    order = rng.permutation(n)
-    return [order[i:i + batch] for i in range(0, n, batch)]
+    order = tuple(rng.permutation(n))
+    return tuple(order[i:i + batch] for i in range(0, n, batch))
+
+
+def batch_indices(n: int, batch: int, seed: int, epoch: int):
+    """Pure shuffled-epoch schedule: a list of index arrays covering 0..n-1
+    once, in an order fully determined by (n, batch, seed, epoch)."""
+    return [list(b) for b in _epoch_schedule(n, batch, seed, epoch)]
 
 
 def batches_per_epoch(n_source: int, n_target: int, batch: int) -> int:
@@ -377,8 +386,8 @@ def paired_batch(source: SceneDataset, target: SceneDataset, batch: int,
     datasets, batch size, seed, and iteration index (resume-safe)."""
     per_epoch = batches_per_epoch(len(source), len(target), batch)
     epoch, pos = divmod(iteration, per_epoch)
-    src_sched = batch_indices(len(source), batch, derive_seed(seed, 0x737263), epoch)
-    tgt_sched = batch_indices(len(target), batch, derive_seed(seed, 0x746774), epoch)
+    src_sched = _epoch_schedule(len(source), batch, derive_seed(seed, 0x737263), epoch)
+    tgt_sched = _epoch_schedule(len(target), batch, derive_seed(seed, 0x746774), epoch)
     src_idx, tgt_idx = src_sched[pos], tgt_sched[pos]
     k = min(len(src_idx), len(tgt_idx))
     src_idx, tgt_idx = src_idx[:k], tgt_idx[:k]

@@ -167,6 +167,7 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
     adapting = cfg.lambda_adv != 0.0
     adv_val = 0.0
     d_val = 0.0
+    disc_flags = [p.requires_grad for p in state.disc.parameters()]
     try:
         # (1) supervised segmentation loss on the source batch
         src_probs = T.softmax_channels(state.seg(batch.src_images, train=True))
@@ -210,6 +211,10 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
             d_val = l_d.item()
     except NonFiniteError as exc:
         raise NumericalAbort(it, "forward", str(exc)) from exc
+    finally:
+        # an abort inside steps (2)-(3) must not leave the discriminator frozen
+        for flag, p in zip(disc_flags, state.disc.parameters()):
+            p.requires_grad = flag
 
     # (5) the shared poly schedule advances with the iteration counter
     state.iteration = it + 1
@@ -219,11 +224,33 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
     return record
 
 
+def _truncate_log(csv_path: str, iteration: int) -> None:
+    """Cut a loss log back to its rows for iterations below `iteration`, so
+    a run resumed into its own directory logs each iteration once. The
+    kept rows must run without a gap up to iteration - 1."""
+    with open(csv_path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"{csv_path}: not a loss log, cannot resume it")
+    kept = [row for row in lines[1:] if int(row.split(",", 1)[0]) < iteration]
+    iters = [int(row.split(",", 1)[0]) for row in kept]
+    start = iters[0] if iters else 0
+    if iters != list(range(start, iteration)):
+        raise ValueError(f"{csv_path}: rows for iterations {start}..{iteration - 1} are "
+                         f"incomplete, cannot resume the log at iteration {iteration}")
+    tmp_path = csv_path + ".tmp"
+    with open(tmp_path, "w", encoding="utf-8") as f:
+        f.write("".join(line + "\n" for line in [CSV_HEADER] + kept))
+    os.replace(tmp_path, csv_path)
+
+
 def run_training(cfg: TrainConfig, source: SceneDataset, target: SceneDataset,
                  out_dir: str | None = None):
     """Train to cfg.max_iter, appending one CSV row per iteration and a
     checkpoint every cfg.checkpoint_interval iterations plus one at the
-    end. Returns (final checkpoint path, loss records)."""
+    end. Resuming into a directory that holds a loss log keeps its rows
+    below the checkpoint's iteration and drops the rest. Returns (final
+    checkpoint path, loss records)."""
     cfg.validate()
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -232,7 +259,10 @@ def run_training(cfg: TrainConfig, source: SceneDataset, target: SceneDataset,
         state.load(cfg.resume)
 
     csv_path = os.path.join(out_dir, "loss_log.csv")
-    mode = "a" if (cfg.resume and os.path.exists(csv_path) and state.iteration > 0) else "w"
+    mode = "w"
+    if cfg.resume and os.path.exists(csv_path):
+        _truncate_log(csv_path, state.iteration)
+        mode = "a"
     final_path = os.path.join(out_dir, f"ckpt_{cfg.max_iter:06d}.ckpt")
     with open(csv_path, mode, encoding="utf-8") as log:
         if mode == "w":

@@ -254,6 +254,29 @@ def test_batch_indices_is_partition(n, batch, seed, epoch):
     assert all(len(b) <= batch for b in batches)
 
 
+def test_batch_indices_returns_a_private_copy():
+    want = batch_indices(10, 4, seed=5, epoch=2)
+    got = batch_indices(10, 4, seed=5, epoch=2)
+    got[0][0] = -1
+    got.pop()
+    assert batch_indices(10, 4, seed=5, epoch=2) == want
+    assert all(isinstance(b, list) for b in want)
+
+
+def test_paired_batch_shuffles_once_per_epoch(monkeypatch):
+    from rtda.rng import Xoshiro256StarStar
+    cfg = ShiftConfig.default(5)
+    src = ArrayDataset.generate(range(6), "source", cfg, size=(32, 32))
+    tgt = ArrayDataset.generate(range(60, 66), "target", cfg, size=(32, 32))
+    calls = []
+    permutation = Xoshiro256StarStar.permutation
+    monkeypatch.setattr(Xoshiro256StarStar, "permutation",
+                        lambda self, n: calls.append(n) or permutation(self, n))
+    for it in range(2 * batches_per_epoch(6, 6, 2)):
+        paired_batch(src, tgt, 2, seed=31337, iteration=it)
+    assert len(calls) == 4  # source and target schedule, two epochs
+
+
 def test_batches_per_epoch_uses_smaller_side():
     assert batches_per_epoch(10, 100, 4) == 3
     assert batches_per_epoch(100, 10, 4) == 3

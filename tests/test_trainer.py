@@ -8,7 +8,7 @@ import pytest
 from rtda import tensor as T
 from rtda.config import TrainConfig
 from rtda.data import ArrayDataset, DomainBatch, ShiftConfig, paired_batch
-from rtda.losses import disc_loss, seg_cross_entropy
+from rtda.losses import LossValue, adv_loss, disc_loss, seg_cross_entropy
 from rtda.optim import poly_lr
 from rtda.tensor import Tensor, backward
 from rtda.trainer import (
@@ -195,6 +195,35 @@ def test_resume_is_bitwise_identical_to_uninterrupted(tmp_path):
     assert resumed_rows[1:] == straight_rows[5:]
 
 
+def test_resume_into_same_dir_keeps_one_row_per_iteration(tmp_path):
+    """Resuming into the run's own directory replaces the log rows from the
+    checkpoint's iteration on instead of appending a second copy."""
+    cfg = small_cfg(max_iter=6, checkpoint_interval=2)
+    straight_final, _ = run_training(cfg, SRC, TGT, out_dir=str(tmp_path / "straight"))
+    straight_log = (tmp_path / "straight" / "loss_log.csv").read_text()
+
+    out = tmp_path / "run"
+    run_training(cfg, SRC, TGT, out_dir=str(out))
+    resumed_cfg = dataclasses.replace(cfg, resume=str(out / "ckpt_000002.ckpt"))
+    resumed_final, _ = run_training(resumed_cfg, SRC, TGT, out_dir=str(out))
+
+    rows = (out / "loss_log.csv").read_text().splitlines()
+    assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(6))
+    assert (out / "loss_log.csv").read_text() == straight_log
+    assert open(resumed_final, "rb").read() == open(straight_final, "rb").read()
+
+
+def test_resume_refuses_log_missing_rows(tmp_path):
+    cfg = small_cfg(max_iter=6, checkpoint_interval=2)
+    run_training(cfg, SRC, TGT, out_dir=str(tmp_path))
+    log = tmp_path / "loss_log.csv"
+    rows = log.read_text().splitlines()
+    log.write_text("\n".join(rows[:2] + rows[3:]) + "\n")  # drop iteration 1
+    resumed_cfg = dataclasses.replace(cfg, resume=str(tmp_path / "ckpt_000004.ckpt"))
+    with pytest.raises(ValueError, match="loss_log.csv"):
+        run_training(resumed_cfg, SRC, TGT, out_dir=str(tmp_path))
+
+
 def test_state_round_trip_and_continued_equality(tmp_path):
     cfg = small_cfg(max_iter=8)
     a = TrainState(cfg)
@@ -244,6 +273,22 @@ def test_non_finite_input_aborts_with_iteration():
         train_iteration(state, poisoned)
     assert exc_info.value.iteration == 0
     assert "non-finite" in str(exc_info.value)
+
+
+def test_abort_in_adversarial_step_unfreezes_discriminator(monkeypatch):
+    import rtda.trainer as trainer
+
+    def poisoned_adv_loss(logits, reduction="mean"):
+        loss = adv_loss(logits, reduction)
+        return LossValue(value=Tensor(np.array(np.inf, dtype=np.float32)),
+                         reduction=loss.reduction, count=loss.count)
+
+    monkeypatch.setattr(trainer, "adv_loss", poisoned_adv_loss)
+    state = TrainState(small_cfg(lambda_adv=0.01))
+    with pytest.raises(NumericalAbort) as exc_info:
+        train_iteration(state, batch_at(0, state.cfg))
+    assert exc_info.value.loss_name == "l_adv"
+    assert all(p.requires_grad for _, p in state.disc.named_parameters())
 
 
 def test_numerical_abort_carries_context():
