@@ -13,6 +13,10 @@ import numpy as np
 
 from rtda.tensor import ShapeError, Tensor
 
+# Adam updates parameters in flat slices of this many elements, so its
+# work arrays stay small and each slice's operands stay in cache.
+_SLICE = 1 << 16
+
 
 def poly_lr(base_lr: float, iteration: int, max_iter: int, power: float) -> float:
     """base_lr * (1 - iteration/max_iter) ** power, the poly decay."""
@@ -98,26 +102,38 @@ class Adam(_Optimizer):
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
         self.step_count = 0
+        if not all(p.data.flags.c_contiguous for _, p in self.params):
+            raise ValueError("Adam updates parameters through flat views; arrays must be C-contiguous")
+        # two float32 work arrays of one slice each, shared by every update
+        size = min(_SLICE, max(p.data.size for _, p in self.params))
+        self._work = (np.empty(size, np.float32), np.empty(size, np.float32))
 
     def step(self) -> None:
+        """The textbook update m/bc1 * lr / (sqrt(v/bc2) + eps), applied to
+        flat slices of each parameter in two work arrays. Every element sees
+        the same float32 operations in the same order as the allocating
+        expression, so the result is bitwise the same, while the temporary
+        memory stays at two slices whatever the parameter sizes."""
         b1, b2 = self.betas
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
+        work_a, work_b = self._work
         for name, p in self.params:
-            g = self._grad(name, p)
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype, copy=False)
+            flat = [arr.reshape(-1) for arr in (p.data, self._grad(name, p), self.m[name], self.v[name])]
+            for lo in range(0, p.data.size, _SLICE):
+                x, g, m, v = (arr[lo:lo + _SLICE] for arr in flat)
+                a, b = work_a[:x.size], work_b[:x.size]
+                if self.weight_decay:
+                    g = np.add(g, np.multiply(self.weight_decay, x, out=a), out=a)
+                m *= b1
+                m += np.multiply(1.0 - b1, g, out=b)
+                v *= b2
+                v += np.multiply(np.multiply(1.0 - b2, g, out=b), g, out=b)
+                m_hat = np.divide(m, bc1, out=a)
+                denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+                x -= np.divide(np.multiply(self.lr, m_hat, out=a), denom, out=a)
         self.iteration += 1
 
     def state_tensors(self) -> dict:

@@ -119,21 +119,8 @@ class TrainState:
                 raise ValueError(f"checkpoint {name}={got} conflicts with config value {expect}")
         if limbs_to_seed(tensors["meta.seed"]) != cfg.seed:
             raise ValueError("checkpoint seed conflicts with config seed")
-
-        def pull(name, target):
-            if name not in tensors:
-                raise KeyError(f"checkpoint missing tensor {name}")
-            src = tensors[name]
-            if tuple(src.shape) != tuple(target.shape):
-                raise ValueError(f"{name}: shape {src.shape} != {target.shape}")
-            target[...] = src
-
-        for name, p in self.seg.named_parameters():
-            pull(f"model.seg.{name}", p.data)
-        for name, b in self.seg.named_buffers():
-            pull(f"buffer.seg.{name}", b)
-        for name, p in self.disc.named_parameters():
-            pull(f"model.disc.{name}", p.data)
+        _load_module(self.seg, "seg", tensors)
+        _load_module(self.disc, "disc", tensors)
         self.seg_opt.load_state_tensors(
             {k[len("opt.seg."):]: v for k, v in tensors.items() if k.startswith("opt.seg.")})
         self.disc_opt.load_state_tensors(
@@ -147,6 +134,21 @@ class TrainState:
     def load(self, path: str) -> None:
         iteration, tensors = load_checkpoint(path)
         self.load_tensors(iteration, tensors)
+
+
+def _load_module(module: Module, tag: str, tensors: dict) -> None:
+    """Copy `model.<tag>.*` and `buffer.<tag>.*` checkpoint tensors into a
+    module's parameters and buffers, refusing a missing name or a shape
+    that differs from the module's."""
+    targets = [(f"model.{tag}.{name}", p.data) for name, p in module.named_parameters()]
+    targets += [(f"buffer.{tag}.{name}", b) for name, b in module.named_buffers()]
+    for name, target in targets:
+        if name not in tensors:
+            raise KeyError(f"checkpoint missing tensor {name}")
+        src = tensors[name]
+        if tuple(src.shape) != tuple(target.shape):
+            raise ValueError(f"{name}: checkpoint shape {src.shape} != model {target.shape}")
+        target[...] = src
 
 
 def _finite_loss(loss: LossValue, iteration: int, name: str) -> float:
@@ -172,7 +174,7 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
         # (1) supervised segmentation loss on the source batch
         src_probs = T.softmax_channels(state.seg(batch.src_images, train=True))
         l_seg = seg_cross_entropy(src_probs, batch.src_labels, reduction=cfg.loss_reduction)
-        _finite_loss(l_seg, it, "l_seg")
+        seg_val = _finite_loss(l_seg, it, "l_seg")
 
         if adapting:
             # (2) confusion loss on the target batch through the frozen
@@ -184,6 +186,8 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
             _finite_loss(l_adv, it, "l_adv")
             total = total_seg_objective(l_seg, l_adv, cfg.lambda_adv)
             adv_val = l_adv.item()
+            maps = (src_probs.data, tgt_probs.data)
+            del tgt_probs, l_adv
         else:
             total = l_seg
 
@@ -192,13 +196,16 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
         backward(total.value)
         state.seg_opt.lr = lr_seg
         state.seg_opt.step()
+        # the tensors above hold the segmenter's whole tape; step (4) needs
+        # only the two probability maps, so the tape is freed here
+        del src_probs, l_seg, total
 
         if adapting:
             # (4) one discriminator step on detached probability maps; both
             # domains ride one forward and are split back off the batch axis
             state.disc.set_requires_grad(True)
-            n_src = src_probs.shape[0]
-            both = Tensor(np.concatenate([src_probs.data, tgt_probs.data], axis=0))
+            n_src = maps[0].shape[0]
+            both = Tensor(np.concatenate(maps, axis=0))
             d_both = state.disc(both, train=True)
             l_d = disc_loss(T.slice_batch(d_both, 0, n_src),
                             T.slice_batch(d_both, n_src, d_both.shape[0]),
@@ -218,7 +225,7 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
 
     # (5) the shared poly schedule advances with the iteration counter
     state.iteration = it + 1
-    record = LossRecord(iteration=it, l_seg=l_seg.item(), l_adv=adv_val,
+    record = LossRecord(iteration=it, l_seg=seg_val, l_adv=adv_val,
                         l_d=d_val, lr_seg=lr_seg, lr_disc=lr_disc)
     state.history.append(record)
     return record
@@ -242,6 +249,11 @@ def _truncate_log(csv_path: str, iteration: int) -> None:
     with open(tmp_path, "w", encoding="utf-8") as f:
         f.write("".join(line + "\n" for line in [CSV_HEADER] + kept))
     os.replace(tmp_path, csv_path)
+
+
+def _sync(f) -> None:
+    f.flush()
+    os.fsync(f.fileno())
 
 
 def run_training(cfg: TrainConfig, source: SceneDataset, target: SceneDataset,
@@ -273,8 +285,12 @@ def run_training(cfg: TrainConfig, source: SceneDataset, target: SceneDataset,
             log.write(record.csv_row() + "\n")
             done = it + 1
             if done % cfg.checkpoint_interval == 0 and done != cfg.max_iter:
+                _sync(log)
                 state.save(os.path.join(out_dir, f"ckpt_{done:06d}.ckpt"))
-    state.save(final_path)
+        # a checkpoint on disk implies the log rows before it are on disk,
+        # so a run killed at any point can resume into its own directory
+        _sync(log)
+        state.save(final_path)
     return final_path, state.history
 
 
@@ -307,21 +323,12 @@ def evaluate(model: Module, dataset: SceneDataset, num_classes: int,
 
 
 def load_seg_for_eval(ckpt_path: str):
-    """Rebuild just the segmentation network from a checkpoint."""
-    iteration, tensors = load_checkpoint(ckpt_path)
+    """Rebuild just the segmentation network from a checkpoint; the
+    discriminator and optimizer tensors are checksummed but not kept, and
+    no init is drawn for weights the checkpoint overwrites."""
+    iteration, tensors = load_checkpoint(ckpt_path, keep=("meta.", "model.seg.", "buffer.seg."))
     num_classes = int(tensors["meta.num_classes"])
     width = float(tensors["meta.width_multiplier"])
-    model = build_mini_bisenet(num_classes, width)
-    for name, p in model.named_parameters():
-        key = f"model.seg.{name}"
-        if key not in tensors:
-            raise KeyError(f"checkpoint missing tensor {key}")
-        if tuple(tensors[key].shape) != tuple(p.data.shape):
-            raise ValueError(f"{key}: checkpoint shape {tensors[key].shape} != model {p.data.shape}")
-        p.data[...] = tensors[key]
-    for name, b in model.named_buffers():
-        key = f"buffer.seg.{name}"
-        if key not in tensors:
-            raise KeyError(f"checkpoint missing tensor {key}")
-        b[...] = tensors[key]
+    model = build_mini_bisenet(num_classes, width, init=False)
+    _load_module(model, "seg", tensors)
     return model, num_classes, iteration

@@ -143,3 +143,64 @@ def test_zero_rank_and_empty_names_ok():
     assert it == 0
     assert back[""].shape == ()
     assert back[""] == np.float32(1.0)
+
+
+def test_save_writes_serialized_bytes(tmp_path):
+    path = tmp_path / "state.ckpt"
+    tensors = sample_tensors()
+    save_checkpoint(str(path), 12, tensors)
+    assert path.read_bytes() == serialize(12, tensors)
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    """A save that fails part-way (here on a non-float32 tensor late in
+    sort order, after earlier payloads were written) leaves the previous
+    checkpoint's bytes in place and no temporary file."""
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(str(path), 1, sample_tensors())
+    before = path.read_bytes()
+    bad = dict(sample_tensors(), zzz=np.zeros(3, dtype=np.float64))
+    with pytest.raises(CheckpointError, match="float32"):
+        save_checkpoint(str(path), 2, bad)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
+
+
+def test_filtered_load_keeps_only_matching_names(tmp_path):
+    path = str(tmp_path / "state.ckpt")
+    tensors = sample_tensors()
+    save_checkpoint(path, 4, tensors)
+    it, back = load_checkpoint(path, keep=("a.", "scalar"))
+    assert it == 4
+    assert sorted(back) == ["a.weight", "scalar"]
+    assert np.array_equal(back["a.weight"], tensors["a.weight"])
+    it, back = deserialize(serialize(4, tensors), keep=("b.",))
+    assert sorted(back) == ["b.bias"]
+
+
+def test_filtered_load_still_checks_skipped_payloads(tmp_path):
+    """A flipped byte inside a payload the filter skips still fails the
+    checksum."""
+    tensors = sample_tensors()
+    blob = bytearray(serialize(1, tensors))
+    # "b.bias" sorts second; its payload is the 28 bytes before "scalar"'s header
+    scalar_header = struct.pack("<H", 6) + b"scalar"
+    offset = blob.index(scalar_header) - 4
+    assert np.frombuffer(bytes(blob[offset:offset + 4]), "<f4")[0] == tensors["b.bias"][6]
+    blob[offset] ^= 0x01
+    path = tmp_path / "state.ckpt"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_checkpoint(str(path), keep=("a.", "scalar"))
+    with pytest.raises(CheckpointError, match="checksum"):
+        deserialize(bytes(blob), keep=("a.",))
+
+
+def test_corrupt_dimension_reports_checksum_not_allocation():
+    """A flipped high byte in a stored dimension claims a payload far
+    larger than the file; the reader must report the bad checksum rather
+    than allocate for it."""
+    blob = bytearray(serialize(1, sample_tensors()))
+    blob[34] ^= 0x80  # top byte of a.weight's first dimension
+    with pytest.raises(CheckpointError, match="checksum"):
+        deserialize(bytes(blob))

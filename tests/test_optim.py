@@ -191,3 +191,64 @@ def test_zero_grad_clears_all():
     opt = SGD([("p", p)], lr=0.1)
     opt.zero_grad()
     assert p.grad is None
+
+
+def reference_adam_step(opt):
+    """The allocating Adam update, kept as the bitwise reference for the
+    in-place one: same float32 operations in the same order."""
+    b1, b2 = opt.betas
+    opt.step_count += 1
+    t = opt.step_count
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for name, p in opt.params:
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
+        if opt.weight_decay:
+            g = g + opt.weight_decay * p.data
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
+        p.data -= (opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)).astype(p.data.dtype, copy=False)
+    opt.iteration += 1
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_adam_step_bitwise_equals_reference(weight_decay):
+    """Over five steps with changing gradients and learning rate, on
+    parameters of several shapes, one spanning several update slices and
+    one never getting a gradient."""
+
+    def make():
+        named = [("w", param((8, 3, 4, 4), seed=1)), ("b", param((8,), seed=2)),
+                 ("idle", param((5, 2), seed=3)), ("s", param((), seed=4)),
+                 ("big", param((3, 70001), seed=5))]
+        return named, Adam(named, lr=2e-3, weight_decay=weight_decay)
+
+    (got_named, got), (ref_named, ref) = make(), make()
+    rng = np.random.default_rng(9)
+    for step in range(5):
+        grads = {name: (rng.standard_normal(p.shape) * 10.0 ** (step - 2)).astype(np.float32)
+                 for name, p in got_named if name != "idle"}
+        for named, opt in ((got_named, got), (ref_named, ref)):
+            for name, p in named:
+                p.grad = grads[name].copy() if name in grads else None
+            opt.lr = 2e-3 * (1 - step / 5)
+        got.step()
+        reference_adam_step(ref)
+        for (name, p), (_, q) in zip(got_named, ref_named):
+            assert p.data.tobytes() == q.data.tobytes(), (step, name)
+            assert got.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
+            assert got.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
+    assert got.step_count == ref.step_count == 5
+    assert got.iteration == ref.iteration == 5
+
+
+def test_adam_rejects_non_contiguous_parameter():
+    p = Tensor(np.zeros((4, 3), dtype=np.float32).T, requires_grad=True)
+    with pytest.raises(ValueError, match="contiguous"):
+        Adam([("p", p)], lr=1e-3)

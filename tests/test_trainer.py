@@ -1,11 +1,19 @@
 import dataclasses
+import hashlib
 import math
 import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import rtda
+import rtda.models
 from rtda import tensor as T
+from rtda.checkpoint import load_checkpoint, save_checkpoint
 from rtda.config import TrainConfig
 from rtda.data import ArrayDataset, DomainBatch, ShiftConfig, paired_batch
 from rtda.losses import LossValue, adv_loss, disc_loss, seg_cross_entropy
@@ -381,3 +389,131 @@ def test_untrained_network_scores_near_chance():
         state = TrainState(small_cfg(seed=seed, image_size=64))
         _, mean, _ = evaluate(state.seg, tgt_eval, 5)
         assert mean < 0.35
+
+
+# ---------------------------------------------------------------------------
+# checkpoint bytes and bounded-memory I/O
+
+# SHA-256 of every file of a 6-iteration run (checkpoint interval 2,
+# lambda 0.01) of the allocating checkpoint writer, Adam and training
+# step; memory work on those paths must leave every byte unchanged.
+PINNED_RUN_DIGESTS = {
+    "fcd": {
+        "ckpt_000002.ckpt": "15424b46fb89d3df5d7af615f9507971ebef20fd66d055f2b72ecd402671b7f9",
+        "ckpt_000004.ckpt": "14b0ddde7df965becd442bd63706ee689e372b21ad39f3112f0becdcb44246eb",
+        "ckpt_000006.ckpt": "cb62ba9fcb7435442e83004efbab8601359c5bd02a7c08839e547ecc35e78c5d",
+        "loss_log.csv": "f59b120b5285f9705e8ced3711b0bd74ba512e55fa0558cd2819bfe6f443f480",
+    },
+    "fcd-light-thin": {
+        "ckpt_000002.ckpt": "e805579ac0cc218cd4868424a9dd9dd053734c7a540b881f10d133033f04bb17",
+        "ckpt_000004.ckpt": "6eb4b0fac7c3744840b21462fc676517ebd4a43912537c338cfa73a5e16887f7",
+        "ckpt_000006.ckpt": "f428bdb01db5c2851abfb17441f5b80fba38cfc6ad3f75f001b72241262699ff",
+        "loss_log.csv": "a9187ddee6cd09ebd8e42411a2cf099ce0129580979840f2566c12640401c199",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_RUN_DIGESTS))
+def test_pinned_run_digests(tmp_path, variant):
+    cfg = small_cfg(max_iter=6, checkpoint_interval=2, lambda_adv=0.01, disc_variant=variant)
+    run_training(cfg, SRC, TGT, out_dir=str(tmp_path))
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == PINNED_RUN_DIGESTS[variant]
+
+
+def test_save_checkpoint_memory_is_bounded(tmp_path):
+    """Writing an fcd state (about 35 MB of tensors) allocates little
+    beyond the state itself: no whole-file copy of the bytes."""
+    state = TrainState(small_cfg(disc_variant="fcd"))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        state.save(str(tmp_path / "state.ckpt"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 16 * 2**20
+
+
+_KILL_AFTER_SAVE = textwrap.dedent("""
+    import os, sys
+    sys.path[:0] = {paths!r}
+    import rtda.trainer as trainer
+    from rtda.data import ArrayDataset, ShiftConfig
+    from rtda.config import TrainConfig
+
+    save = trainer.TrainState.save
+
+    def save_then_die(self, path):
+        save(self, path)
+        if path.endswith("ckpt_000004.ckpt"):
+            os._exit(0)  # no atexit, no buffer flush: a killed process
+
+    trainer.TrainState.save = save_then_die
+    shift = ShiftConfig.default(5)
+    src = ArrayDataset.generate(range(4), "source", shift, size=(32, 32))
+    tgt = ArrayDataset.generate(range(100, 104), "target", shift, size=(32, 32))
+    cfg = TrainConfig(seed=0, num_classes=5, image_size=32, batch=2, max_iter=6,
+                      checkpoint_interval=2)
+    trainer.run_training(cfg, src, tgt, out_dir={out!r})
+    sys.exit(3)  # not reached when the kill fires
+""")
+
+
+def test_resume_after_kill_following_checkpoint(tmp_path):
+    """A process killed right after a periodic checkpoint leaves a loss log
+    that holds every row up to it, so resuming in place gives the bytes of
+    an uninterrupted run."""
+    cfg = small_cfg(max_iter=6, checkpoint_interval=2)
+    straight_final, _ = run_training(cfg, SRC, TGT, out_dir=str(tmp_path / "straight"))
+
+    out = tmp_path / "killed"
+    paths = [os.path.dirname(os.path.dirname(rtda.__file__))] + sys.path
+    script = _KILL_AFTER_SAVE.format(paths=paths, out=str(out))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert not (out / "ckpt_000006.ckpt").exists()
+
+    resumed_cfg = dataclasses.replace(cfg, resume=str(out / "ckpt_000004.ckpt"))
+    resumed_final, _ = run_training(resumed_cfg, SRC, TGT, out_dir=str(out))
+    assert (out / "loss_log.csv").read_bytes() == \
+        (tmp_path / "straight" / "loss_log.csv").read_bytes()
+    for name in ("ckpt_000002.ckpt", "ckpt_000004.ckpt", "ckpt_000006.ckpt"):
+        assert (out / name).read_bytes() == (tmp_path / "straight" / name).read_bytes(), name
+
+
+def test_load_seg_for_eval_draws_no_init(tmp_path, monkeypatch):
+    """The checkpoint overwrites every weight, so the eval load builds the
+    network without drawing a Kaiming init."""
+    cfg = small_cfg(max_iter=1)
+    final, _ = run_training(cfg, SRC, TGT, out_dir=str(tmp_path))
+    expect = TrainState(cfg)
+    expect.load(final)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("Kaiming init drawn for weights the checkpoint overwrites")
+
+    monkeypatch.setattr(rtda.models, "init_kaiming", no_init)
+    model, _, _ = load_seg_for_eval(final)
+    for (name, p), (_, q) in zip(model.named_parameters(), expect.seg.named_parameters()):
+        assert np.array_equal(p.data, q.data), name
+
+
+def test_load_seg_for_eval_rejects_missing_and_misshapen_tensors(tmp_path):
+    cfg = small_cfg(max_iter=0)
+    final, _ = run_training(cfg, SRC, TGT, out_dir=str(tmp_path))
+    iteration, tensors = load_checkpoint(final)
+    param = next(k for k in sorted(tensors) if k.startswith("model.seg."))
+    buffer = next(k for k in sorted(tensors) if k.startswith("buffer.seg."))
+    for name, change in ((param, "drop"), (buffer, "drop"), (param, "reshape"),
+                         (buffer, "reshape")):
+        broken = dict(tensors)
+        if change == "drop":
+            del broken[name]
+        else:
+            broken[name] = np.zeros(broken[name].size + 1, dtype=np.float32)
+        path = str(tmp_path / "broken.ckpt")
+        save_checkpoint(path, iteration, broken)
+        with pytest.raises((KeyError, ValueError), match=name):
+            load_seg_for_eval(path)
