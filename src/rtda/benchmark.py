@@ -17,14 +17,14 @@ regime.
 from __future__ import annotations
 
 import dataclasses
-import time
+import tempfile
 from dataclasses import dataclass
 
 from rtda.config import TrainConfig
-from rtda.data import ArrayDataset, ShiftConfig, derive_seed, paired_batch
+from rtda.data import SceneDataset, ShiftConfig, derive_seed
 from rtda.models import DISCRIMINATOR_VARIANTS, build_discriminator, canonical_variant
 from rtda.nn import num_params
-from rtda.trainer import TrainState, evaluate, train_iteration
+from rtda.trainer import evaluate, load_seg_for_eval, run_training
 
 _SRC_SALT = 0x62736E63
 _TGT_SALT = 0x62746774
@@ -72,28 +72,23 @@ def make_datasets(seed: int, settings: BenchmarkSettings, config: ShiftConfig | 
         base = derive_seed(seed, salt) % 1_000_000_000
         return range(base, base + n)
 
-    source = ArrayDataset.generate(seeds(_SRC_SALT, settings.n_source), "source", config, size, k)
-    target = ArrayDataset.generate(seeds(_TGT_SALT, settings.n_target), "target", config, size, k)
-    target_eval = ArrayDataset.generate(seeds(_EVAL_SALT, settings.n_eval), "target", config, size, k)
+    source = SceneDataset.generate(seeds(_SRC_SALT, settings.n_source), "source", config, size, k)
+    target = SceneDataset.generate(seeds(_TGT_SALT, settings.n_target), "target", config, size, k)
+    target_eval = SceneDataset.generate(seeds(_EVAL_SALT, settings.n_eval), "target", config, size, k)
     return source, target, target_eval
 
 
 def run_single(seed: int, lambda_adv: float, settings: BenchmarkSettings,
-               config: ShiftConfig | None = None, log=None):
-    """One full training run; returns (target mIoU, TrainState)."""
+               config: ShiftConfig | None = None, log=None) -> float:
+    """One full training run through `run_training` into a temporary
+    directory; returns the target mIoU of its final checkpoint."""
     cfg = settings.to_config(seed, lambda_adv)
     source, target, target_eval = make_datasets(seed, settings, config)
-    state = TrainState(cfg)
-    t0 = time.time()
-    for it in range(cfg.max_iter):
-        batch = paired_batch(source, target, cfg.batch, cfg.seed, it)
-        record = train_iteration(state, batch)
-        if log and (it + 1) % max(1, cfg.max_iter // 10) == 0:
-            log(f"  seed {seed} weight {lambda_adv:g} iter {it + 1}/{cfg.max_iter} "
-                f"l_seg {record.l_seg:.4f} l_adv {record.l_adv:.4f} l_d {record.l_d:.4f} "
-                f"({time.time() - t0:.0f}s)")
-    _, mean_iou, _ = evaluate(state.seg, target_eval, cfg.num_classes)
-    return mean_iou, state
+    with tempfile.TemporaryDirectory() as out_dir:
+        final_path, _ = run_training(cfg, source, target, out_dir=out_dir, log=log)
+        model, num_classes, _ = load_seg_for_eval(final_path)
+    _, mean_iou, _ = evaluate(model, target_eval, num_classes)
+    return mean_iou
 
 
 @dataclass
@@ -128,11 +123,11 @@ def adaptation_gap(seeds=(0, 1, 2), settings: BenchmarkSettings | None = None,
     settings = settings or BenchmarkSettings()
     baseline, adapted = [], []
     for seed in seeds:
-        b, _ = run_single(seed, 0.0, settings, config, log)
+        b = run_single(seed, 0.0, settings, config, log)
         if log:
             log(f"seed {seed}: source-only target mIoU {b:.4f}")
         baseline.append(b)
-        a, _ = run_single(seed, settings.lambda_adv, settings, config, log)
+        a = run_single(seed, settings.lambda_adv, settings, config, log)
         if log:
             log(f"seed {seed}: adapted target mIoU {a:.4f}")
         adapted.append(a)
@@ -156,7 +151,7 @@ def compare_variants(seed: int = 0, settings: BenchmarkSettings | None = None,
         run_settings = dataclasses.replace(settings, variant=variant)
         if log:
             log(f"variant {variant}:")
-        miou_value, _ = run_single(seed, run_settings.lambda_adv, run_settings, config, log)
+        miou_value = run_single(seed, run_settings.lambda_adv, run_settings, config, log)
         params = num_params(build_discriminator(variant, settings.num_classes, init=False))
         rows.append(VariantRow(variant=variant, params=params, miou=miou_value))
         if log:

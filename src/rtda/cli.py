@@ -16,6 +16,7 @@ import sys
 from rtda import checkpoint as ckpt_mod
 from rtda.config import ConfigError, load_config
 from rtda.data import SceneDataset, ShiftConfig, generate_dataset
+from rtda.metrics import report_csv
 from rtda.models import (
     DISCRIMINATOR_VARIANTS,
     build_discriminator,
@@ -106,8 +107,8 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    source = SceneDataset(cfg.data_root, cfg.train_split, "source")
-    target = SceneDataset(cfg.data_root, cfg.train_split, "target")
+    source = SceneDataset.from_dir(cfg.data_root, cfg.train_split, "source")
+    target = SceneDataset.from_dir(cfg.data_root, cfg.train_split, "target")
     final_path, history = run_training(cfg, source, target)
     last = history[-1] if history else None
     if last is not None:
@@ -118,15 +119,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, num_classes, iteration = load_seg_for_eval(args.ckpt)
-    dataset = SceneDataset(args.root, args.split, args.domain)
+    model, num_classes, _ = load_seg_for_eval(args.ckpt)
+    dataset = SceneDataset.from_dir(args.root, args.split, args.domain)
     subset = [int(tok) for tok in args.classes.split(",") if tok.strip()] if args.classes.strip() else None
-    per_class, mean, _ = evaluate(model, dataset, num_classes, subset)
-    print("class,iou")
-    for c, iou in enumerate(per_class):
-        if iou is not None:
-            print(f"{c},{iou:.6f}")
-    print(f"mIoU,{mean:.6f}")
+    _, _, cm = evaluate(model, dataset, num_classes, subset)
+    sys.stdout.write(report_csv(cm, subset))
     return EXIT_OK
 
 

@@ -40,12 +40,9 @@ class TrainConfig:
 
     data_root: str = "data"
     train_split: str = "train"
-    eval_split: str = "val"
-    eval_domain: str = "target"
     out_dir: str = "runs/exp"
     checkpoint_interval: int = 500
     resume: str = ""
-    class_subset: str = ""
 
     def validate(self) -> "TrainConfig":
         if self.num_classes < 2:
@@ -68,17 +65,7 @@ class TrainConfig:
             raise ConfigError("checkpoint_interval must be at least 1")
         if self.width_multiplier <= 0:
             raise ConfigError("width_multiplier must be positive")
-        if self.eval_domain not in ("source", "target"):
-            raise ConfigError("eval_domain must be 'source' or 'target'")
         return self
-
-    def eval_class_subset(self):
-        if not self.class_subset.strip():
-            return None
-        try:
-            return [int(tok) for tok in self.class_subset.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad class_subset {self.class_subset!r}") from exc
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}

@@ -282,13 +282,22 @@ def generate_dataset(root: str, split: str, seeds, config: ShiftConfig,
 
 
 class SceneDataset:
-    """In-memory view of one `<root>/<split>/<domain>` directory.
+    """In-memory split of one domain: read from a `<root>/<split>/<domain>`
+    directory (`from_dir`) or generated from scene seeds (`generate`).
 
     Images are exposed for batching; labels only through eval_labels, so
     training code paths for the target domain never see ground truth.
     """
 
-    def __init__(self, root: str, split: str, domain: str):
+    def __init__(self, samples):
+        samples = list(samples)
+        if not samples:
+            raise ValueError("empty dataset")
+        self._images = np.stack([s.image.data for s in samples])
+        self._labels = np.stack([s.labels for s in samples])
+
+    @classmethod
+    def from_dir(cls, root: str, split: str, domain: str) -> "SceneDataset":
         base = os.path.join(root, split, domain)
         if not os.path.isdir(base):
             raise FileNotFoundError(f"no dataset directory {base}")
@@ -297,50 +306,15 @@ class SceneDataset:
         )
         if not seeds:
             raise ValueError(f"empty dataset directory {base}")
-        self.root, self.split, self.domain = root, split, domain
-        self.seeds = seeds
-        samples = [read_sample(root, split, domain, s) for s in seeds]
-        self._images = np.stack([s.image.data for s in samples])
-        self._labels = np.stack([s.labels for s in samples])
-
-    def __len__(self) -> int:
-        return len(self.seeds)
-
-    @property
-    def image_shape(self):
-        return self._images.shape[1:]
-
-    def images(self, indices) -> np.ndarray:
-        return self._images[np.asarray(indices, dtype=np.int64)]
-
-    def eval_labels(self, indices) -> np.ndarray:
-        return self._labels[np.asarray(indices, dtype=np.int64)]
-
-
-class ArrayDataset:
-    """In-memory dataset with the same access surface as SceneDataset,
-    for harnesses that skip the on-disk layout."""
-
-    def __init__(self, samples):
-        samples = list(samples)
-        if not samples:
-            raise ValueError("empty dataset")
-        self.domain = samples[0].domain
-        self.seeds = [s.seed for s in samples]
-        self._images = np.stack([s.image.data for s in samples])
-        self._labels = np.stack([s.labels for s in samples])
+        return cls(read_sample(root, split, domain, s) for s in seeds)
 
     @classmethod
     def generate(cls, seeds, domain: str, config: ShiftConfig,
-                 size=(64, 64), num_classes: int = 5) -> "ArrayDataset":
+                 size=(64, 64), num_classes: int = 5) -> "SceneDataset":
         return cls(generate_scene(s, domain, config, size, num_classes) for s in seeds)
 
     def __len__(self) -> int:
-        return len(self.seeds)
-
-    @property
-    def image_shape(self):
-        return self._images.shape[1:]
+        return len(self._images)
 
     def images(self, indices) -> np.ndarray:
         return self._images[np.asarray(indices, dtype=np.int64)]
@@ -397,9 +371,3 @@ def paired_batch(source: SceneDataset, target: SceneDataset, batch: int,
         tgt_images=Tensor(target.images(tgt_idx)),
     )
 
-
-def batch_iter(source: SceneDataset, target: SceneDataset, batch: int, seed: int, epoch: int = 0):
-    """One epoch of paired batches in the seeded shuffle order."""
-    per_epoch = batches_per_epoch(len(source), len(target), batch)
-    for pos in range(per_epoch):
-        yield paired_batch(source, target, batch, seed, epoch * per_epoch + pos)

@@ -23,8 +23,6 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-SUPPORTED_DTYPES = (np.float32, np.float64)
-
 
 class ShapeError(ValueError):
     """Operand shapes violate an op's contract."""
@@ -137,11 +135,6 @@ def backward(loss: Tensor) -> None:
                 table[key] = table[key] + pg
             else:
                 table[key] = pg
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 def _check_dtypes(op: str, *tensors: Tensor):

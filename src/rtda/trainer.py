@@ -18,6 +18,7 @@ one. A non-finite loss aborts with the iteration index and loss name.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,7 +237,9 @@ def _truncate_log(csv_path: str, iteration: int) -> None:
     a run resumed into its own directory logs each iteration once. The
     kept rows must run without a gap up to iteration - 1."""
     with open(csv_path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+        # a run killed mid-write can leave a last row without its newline;
+        # rows below a checkpoint were synced whole, so it is never one of them
+        lines = f.read().split("\n")[:-1]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{csv_path}: not a loss log, cannot resume it")
     kept = [row for row in lines[1:] if int(row.split(",", 1)[0]) < iteration]
@@ -257,12 +260,13 @@ def _sync(f) -> None:
 
 
 def run_training(cfg: TrainConfig, source: SceneDataset, target: SceneDataset,
-                 out_dir: str | None = None):
+                 out_dir: str | None = None, log=None):
     """Train to cfg.max_iter, appending one CSV row per iteration and a
     checkpoint every cfg.checkpoint_interval iterations plus one at the
     end. Resuming into a directory that holds a loss log keeps its rows
-    below the checkpoint's iteration and drops the rest. Returns (final
-    checkpoint path, loss records)."""
+    below the checkpoint's iteration and drops the rest. A `log` callable
+    gets a progress line every tenth of the run. Returns (final checkpoint
+    path, loss records)."""
     cfg.validate()
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -276,20 +280,26 @@ def run_training(cfg: TrainConfig, source: SceneDataset, target: SceneDataset,
         _truncate_log(csv_path, state.iteration)
         mode = "a"
     final_path = os.path.join(out_dir, f"ckpt_{cfg.max_iter:06d}.ckpt")
-    with open(csv_path, mode, encoding="utf-8") as log:
+    log_every = max(1, cfg.max_iter // 10)
+    with open(csv_path, mode, encoding="utf-8") as csv_file:
         if mode == "w":
-            log.write(CSV_HEADER + "\n")
+            csv_file.write(CSV_HEADER + "\n")
+        t0 = time.perf_counter()
         for it in range(state.iteration, cfg.max_iter):
             batch = paired_batch(source, target, cfg.batch, cfg.seed, it)
             record = train_iteration(state, batch)
-            log.write(record.csv_row() + "\n")
+            csv_file.write(record.csv_row() + "\n")
             done = it + 1
+            if log and done % log_every == 0:
+                log(f"  seed {cfg.seed} weight {cfg.lambda_adv:g} iter {done}/{cfg.max_iter} "
+                    f"l_seg {record.l_seg:.4f} l_adv {record.l_adv:.4f} l_d {record.l_d:.4f} "
+                    f"({time.perf_counter() - t0:.0f}s)")
             if done % cfg.checkpoint_interval == 0 and done != cfg.max_iter:
-                _sync(log)
+                _sync(csv_file)
                 state.save(os.path.join(out_dir, f"ckpt_{done:06d}.ckpt"))
         # a checkpoint on disk implies the log rows before it are on disk,
         # so a run killed at any point can resume into its own directory
-        _sync(log)
+        _sync(csv_file)
         state.save(final_path)
     return final_path, state.history
 

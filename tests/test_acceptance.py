@@ -16,7 +16,7 @@ import numpy as np
 from rtda import tensor as T
 from rtda.benchmark import BenchmarkSettings, adaptation_gap, compare_variants, variant_table
 from rtda.config import TrainConfig
-from rtda.data import ArrayDataset, ShiftConfig
+from rtda.data import SceneDataset, ShiftConfig
 from rtda.gradcheck import run_primitive_suite
 from rtda.losses import adv_loss, disc_loss, seg_cross_entropy
 from rtda.metrics import ConfusionMatrix, miou
@@ -150,8 +150,8 @@ def test_flop_counter_matches_loop_tally():
 
 def test_determinism_and_resume(tmp_path):
     shift = ShiftConfig.default(5)
-    src = ArrayDataset.generate(range(4), "source", shift, size=(32, 32))
-    tgt = ArrayDataset.generate(range(50, 54), "target", shift, size=(32, 32))
+    src = SceneDataset.generate(range(4), "source", shift, size=(32, 32))
+    tgt = SceneDataset.generate(range(50, 54), "target", shift, size=(32, 32))
     cfg = TrainConfig(seed=0, image_size=32, batch=2, max_iter=6, checkpoint_interval=100)
 
     finals, csvs = [], []

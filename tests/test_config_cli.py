@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+import glob
 import os
 
 import numpy as np
 import pytest
 
+import rtda
 from rtda.cli import main
 from rtda.config import ConfigError, TrainConfig, dump_config, load_config, parse_config
 from rtda.data import SceneSample, ShiftConfig, generate_dataset, write_sample
@@ -44,6 +47,12 @@ def test_parse_reports_line_numbers():
         parse_config("seed = 1\n\nlearning_rate = 2\n")
 
 
+@pytest.mark.parametrize("key", ["eval_split", "eval_domain", "class_subset"])
+def test_removed_eval_keys_are_unknown(key):
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(f"{key} = target")
+
+
 def test_parse_value_errors():
     with pytest.raises(ConfigError, match="expected integer"):
         parse_config("batch = 2.5")
@@ -73,7 +82,6 @@ def test_parse_applies_on_top_of_base():
     "loss_reduction = median",
     "checkpoint_interval = 0",
     "width_multiplier = 0",
-    "eval_domain = middle",
 ])
 def test_validation_rejects_bad_values(line):
     with pytest.raises(ConfigError):
@@ -82,17 +90,25 @@ def test_validation_rejects_bad_values(line):
 
 def test_dump_round_trip(tmp_path):
     cfg = TrainConfig(seed=5, batch=2, seg_lr=3.25e-4, disc_variant="fcd",
-                      lambda_adv=0.02, class_subset="0,2")
+                      lambda_adv=0.02)
     path = tmp_path / "run.cfg"
     path.write_text(dump_config(cfg))
     assert load_config(str(path)) == cfg
 
 
-def test_eval_class_subset():
-    assert TrainConfig().eval_class_subset() is None
-    assert TrainConfig(class_subset="0, 2,4").eval_class_subset() == [0, 2, 4]
-    with pytest.raises(ConfigError):
-        TrainConfig(class_subset="0,two").eval_class_subset()
+def test_every_config_field_is_read():
+    """Each TrainConfig field is read as an attribute somewhere in the
+    package outside config.py, so no field is validated but unused."""
+    pkg = os.path.dirname(rtda.__file__)
+    read = set()
+    for path in glob.glob(os.path.join(pkg, "*.py")):
+        if os.path.basename(path) == "config.py":
+            continue
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    fields = [f.name for f in dataclasses.fields(TrainConfig)]
+    assert [name for name in fields if name not in read] == []
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +188,32 @@ def test_train_and_eval_commands(tmp_path, capsys):
     assert lines[0] == "class,iou"
     assert lines[-1].startswith("mIoU,")
     assert 0.0 <= float(lines[-1].split(",")[1]) <= 1.0
+
+
+EVAL_STDOUT = {
+    (): "class,iou\n0,0.373551\n1,0.034831\n2,0.151717\n3,0.000000\n4,0.094262\n"
+        "mIoU,0.130872\n",
+    ("--classes", "0,2"): "class,iou\n0,0.373551\n2,0.151717\nmIoU,0.262634\n",
+}
+
+
+def test_eval_stdout_pinned(tmp_path, capsys):
+    """The full `rtda eval` output of a 4-iteration run, with and without a
+    class subset."""
+    root = str(tmp_path / "data")
+    assert main(["gen-data", "--root", root, "--seeds", "4", "--size", "32"]) == 0
+    out_dir = str(tmp_path / "run")
+    cfg = TrainConfig(seed=0, image_size=32, batch=2, max_iter=4,
+                      data_root=root, out_dir=out_dir)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(dump_config(cfg))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    ckpt = os.path.join(out_dir, "ckpt_000004.ckpt")
+    for extra, want in EVAL_STDOUT.items():
+        assert main(["eval", "--ckpt", ckpt, "--root", root, "--split", "train",
+                     *extra]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_validation_failures_exit_one(tmp_path, capsys):

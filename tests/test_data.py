@@ -7,11 +7,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from rtda.data import (
-    ArrayDataset,
     SceneDataset,
     ShiftConfig,
     batch_indices,
-    batch_iter,
     batches_per_epoch,
     class_palette,
     derive_seed,
@@ -197,10 +195,9 @@ def test_write_read_sample_round_trip(tmp_path):
 def test_generate_dataset_and_scene_dataset(tmp_path):
     cfg = ShiftConfig.default(5)
     generate_dataset(str(tmp_path), "train", range(6), cfg, size=(32, 32))
-    src = SceneDataset(str(tmp_path), "train", "source")
-    tgt = SceneDataset(str(tmp_path), "train", "target")
+    src = SceneDataset.from_dir(str(tmp_path), "train", "source")
+    tgt = SceneDataset.from_dir(str(tmp_path), "train", "target")
     assert len(src) == len(tgt) == 6
-    assert src.image_shape == (3, 32, 32)
     imgs = src.images([0, 2])
     assert imgs.shape == (2, 3, 32, 32)
     labels = tgt.eval_labels([1])
@@ -209,12 +206,20 @@ def test_generate_dataset_and_scene_dataset(tmp_path):
 
 def test_scene_dataset_missing_dir(tmp_path):
     with pytest.raises(FileNotFoundError):
-        SceneDataset(str(tmp_path), "train", "source")
+        SceneDataset.from_dir(str(tmp_path), "train", "source")
+
+
+def test_scene_dataset_empty_dir_and_no_samples(tmp_path):
+    (tmp_path / "train" / "source").mkdir(parents=True)
+    with pytest.raises(ValueError, match="empty dataset directory"):
+        SceneDataset.from_dir(str(tmp_path), "train", "source")
+    with pytest.raises(ValueError, match="empty dataset"):
+        SceneDataset.generate(range(0), "source", ShiftConfig.default(5))
 
 
 def test_array_dataset_matches_scene_generation():
     cfg = ShiftConfig.default(5)
-    ds = ArrayDataset.generate(range(4), "source", cfg, size=(32, 32))
+    ds = SceneDataset.generate(range(4), "source", cfg, size=(32, 32))
     assert len(ds) == 4
     one = generate_scene(2, "source", cfg, size=(32, 32))
     assert np.array_equal(ds.images([2])[0], one.image.data)
@@ -266,8 +271,8 @@ def test_batch_indices_returns_a_private_copy():
 def test_paired_batch_shuffles_once_per_epoch(monkeypatch):
     from rtda.rng import Xoshiro256StarStar
     cfg = ShiftConfig.default(5)
-    src = ArrayDataset.generate(range(6), "source", cfg, size=(32, 32))
-    tgt = ArrayDataset.generate(range(60, 66), "target", cfg, size=(32, 32))
+    src = SceneDataset.generate(range(6), "source", cfg, size=(32, 32))
+    tgt = SceneDataset.generate(range(60, 66), "target", cfg, size=(32, 32))
     calls = []
     permutation = Xoshiro256StarStar.permutation
     monkeypatch.setattr(Xoshiro256StarStar, "permutation",
@@ -285,8 +290,8 @@ def test_batches_per_epoch_uses_smaller_side():
 
 def test_paired_batch_shapes_and_privacy():
     cfg = ShiftConfig.default(5)
-    src = ArrayDataset.generate(range(6), "source", cfg, size=(32, 32))
-    tgt = ArrayDataset.generate(range(100, 105), "target", cfg, size=(32, 32))
+    src = SceneDataset.generate(range(6), "source", cfg, size=(32, 32))
+    tgt = SceneDataset.generate(range(100, 105), "target", cfg, size=(32, 32))
     batch = paired_batch(src, tgt, 4, seed=0, iteration=0)
     assert batch.src_images.shape[0] == batch.tgt_images.shape[0] == 4
     assert batch.src_labels.shape == (4, 32, 32)
@@ -295,8 +300,8 @@ def test_paired_batch_shapes_and_privacy():
 
 def test_paired_batch_deterministic_and_epoch_wraps():
     cfg = ShiftConfig.default(5)
-    src = ArrayDataset.generate(range(6), "source", cfg, size=(32, 32))
-    tgt = ArrayDataset.generate(range(50, 56), "target", cfg, size=(32, 32))
+    src = SceneDataset.generate(range(6), "source", cfg, size=(32, 32))
+    tgt = SceneDataset.generate(range(50, 56), "target", cfg, size=(32, 32))
     a = paired_batch(src, tgt, 4, seed=9, iteration=5)
     b = paired_batch(src, tgt, 4, seed=9, iteration=5)
     assert np.array_equal(a.src_images.data, b.src_images.data)
@@ -306,14 +311,3 @@ def test_paired_batch_deterministic_and_epoch_wraps():
         got = paired_batch(src, tgt, 4, seed=9, iteration=it)
         assert got.src_images.shape[0] == got.tgt_images.shape[0] in (2, 4)
 
-
-def test_batch_iter_matches_paired_batch():
-    cfg = ShiftConfig.default(5)
-    src = ArrayDataset.generate(range(6), "source", cfg, size=(32, 32))
-    tgt = ArrayDataset.generate(range(20, 26), "target", cfg, size=(32, 32))
-    got_all = list(batch_iter(src, tgt, 4, seed=2, epoch=1))
-    assert len(got_all) == batches_per_epoch(6, 6, 4) == 2
-    for it, got in enumerate(got_all):
-        want = paired_batch(src, tgt, 4, seed=2, iteration=2 + it)
-        assert np.array_equal(got.src_images.data, want.src_images.data)
-        assert np.array_equal(got.tgt_images.data, want.tgt_images.data)

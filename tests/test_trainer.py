@@ -15,7 +15,7 @@ import rtda.models
 from rtda import tensor as T
 from rtda.checkpoint import load_checkpoint, save_checkpoint
 from rtda.config import TrainConfig
-from rtda.data import ArrayDataset, DomainBatch, ShiftConfig, paired_batch
+from rtda.data import DomainBatch, SceneDataset, ShiftConfig, paired_batch
 from rtda.losses import LossValue, adv_loss, disc_loss, seg_cross_entropy
 from rtda.optim import poly_lr
 from rtda.tensor import Tensor, backward
@@ -32,8 +32,8 @@ from rtda.trainer import (
 )
 
 SHIFT = ShiftConfig.default(5)
-SRC = ArrayDataset.generate(range(4), "source", SHIFT, size=(32, 32))
-TGT = ArrayDataset.generate(range(100, 104), "target", SHIFT, size=(32, 32))
+SRC = SceneDataset.generate(range(4), "source", SHIFT, size=(32, 32))
+TGT = SceneDataset.generate(range(100, 104), "target", SHIFT, size=(32, 32))
 
 
 def small_cfg(**kw):
@@ -232,6 +232,24 @@ def test_resume_refuses_log_missing_rows(tmp_path):
         run_training(resumed_cfg, SRC, TGT, out_dir=str(tmp_path))
 
 
+def test_resume_drops_torn_last_row(tmp_path):
+    """A run killed while its buffered writer had flushed only part of a
+    row leaves a last line without a newline, here `1` cut from `10,...`.
+    Resume drops that line instead of reading it as iteration 1."""
+    cfg = small_cfg(max_iter=12, checkpoint_interval=4)
+    straight_final, _ = run_training(cfg, SRC, TGT, out_dir=str(tmp_path / "straight"))
+    straight_log = (tmp_path / "straight" / "loss_log.csv").read_text()
+
+    out = tmp_path / "torn"
+    run_training(cfg, SRC, TGT, out_dir=str(out))
+    rows = straight_log.splitlines()
+    (out / "loss_log.csv").write_text("\n".join(rows[:11]) + "\n" + rows[11][:1])
+    resumed_cfg = dataclasses.replace(cfg, resume=str(out / "ckpt_000008.ckpt"))
+    resumed_final, _ = run_training(resumed_cfg, SRC, TGT, out_dir=str(out))
+    assert (out / "loss_log.csv").read_text() == straight_log
+    assert open(resumed_final, "rb").read() == open(straight_final, "rb").read()
+
+
 def test_state_round_trip_and_continued_equality(tmp_path):
     cfg = small_cfg(max_iter=8)
     a = TrainState(cfg)
@@ -372,8 +390,8 @@ def test_overfit_tiny_source_split():
     """Memorizing one scene drives training mIoU above 0.9; resolution has
     to be generous because the classifier works on a stride-8 grid."""
     shift = ShiftConfig.identity(5, sigma=0.02)
-    src = ArrayDataset.generate(range(1), "source", shift, size=(128, 128))
-    tgt = ArrayDataset.generate(range(1), "target", shift, size=(128, 128))
+    src = SceneDataset.generate(range(1), "source", shift, size=(128, 128))
+    tgt = SceneDataset.generate(range(1), "target", shift, size=(128, 128))
     cfg = TrainConfig(seed=0, num_classes=5, image_size=128, batch=1, max_iter=400,
                       seg_lr=0.1, weight_decay=0.0, lambda_adv=0.0)
     state = TrainState(cfg)
@@ -384,7 +402,7 @@ def test_overfit_tiny_source_split():
 
 
 def test_untrained_network_scores_near_chance():
-    tgt_eval = ArrayDataset.generate(range(200, 206), "target", SHIFT, size=(64, 64))
+    tgt_eval = SceneDataset.generate(range(200, 206), "target", SHIFT, size=(64, 64))
     for seed in range(3):
         state = TrainState(small_cfg(seed=seed, image_size=64))
         _, mean, _ = evaluate(state.seg, tgt_eval, 5)
@@ -439,7 +457,7 @@ _KILL_AFTER_SAVE = textwrap.dedent("""
     import os, sys
     sys.path[:0] = {paths!r}
     import rtda.trainer as trainer
-    from rtda.data import ArrayDataset, ShiftConfig
+    from rtda.data import SceneDataset, ShiftConfig
     from rtda.config import TrainConfig
 
     save = trainer.TrainState.save
@@ -451,8 +469,8 @@ _KILL_AFTER_SAVE = textwrap.dedent("""
 
     trainer.TrainState.save = save_then_die
     shift = ShiftConfig.default(5)
-    src = ArrayDataset.generate(range(4), "source", shift, size=(32, 32))
-    tgt = ArrayDataset.generate(range(100, 104), "target", shift, size=(32, 32))
+    src = SceneDataset.generate(range(4), "source", shift, size=(32, 32))
+    tgt = SceneDataset.generate(range(100, 104), "target", shift, size=(32, 32))
     cfg = TrainConfig(seed=0, num_classes=5, image_size=32, batch=2, max_iter=6,
                       checkpoint_interval=2)
     trainer.run_training(cfg, src, tgt, out_dir={out!r})
