@@ -45,6 +45,8 @@ class TrainConfig:
     resume: str = ""
 
     def validate(self) -> "TrainConfig":
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2^64)")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be at least 2")
         if self.image_size < 32 or self.image_size % 32:

@@ -8,33 +8,17 @@ in the stable softplus form so any finite logit yields a finite loss:
     -log sigmoid(z)       == softplus(-z)
     -log (1 - sigmoid(z)) == softplus(z)
 
-All three reduce by mean over contributing positions by default; the
-`reduction="sum"` flag restores literal summation. total_seg_objective
-with weight 0 returns the segmentation loss tensor itself, so a
-source-only ablation is bitwise identical to never computing the
-adversarial term.
+Every loss is a scalar Tensor. All three reduce by mean over
+contributing positions by default; the `reduction="sum"` flag restores
+literal summation. total_seg_objective with weight 0 returns the
+segmentation loss tensor itself, so a source-only ablation is bitwise
+identical to never computing the adversarial term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from rtda import tensor as T
 from rtda.tensor import Tensor
-
-
-@dataclass
-class LossValue:
-    """Scalar loss tensor plus the reduction bookkeeping behind it."""
-
-    value: Tensor
-    reduction: str
-    count: int
-
-    def item(self) -> float:
-        return self.value.item()
 
 
 def _reduce(t: Tensor, reduction: str) -> Tensor:
@@ -45,38 +29,33 @@ def _reduce(t: Tensor, reduction: str) -> Tensor:
     raise ValueError(f"unknown reduction {reduction!r}")
 
 
-def seg_cross_entropy(probs: Tensor, labels, ignore_index: int = 255, reduction: str = "mean") -> LossValue:
+def seg_cross_entropy(probs: Tensor, labels, ignore_index: int = 255, reduction: str = "mean") -> Tensor:
     """Cross-entropy of per-pixel probability maps against integer labels.
 
     Pixels labeled `ignore_index` contribute to neither the sum nor the
     count; raises ValueError when nothing is left to score.
     """
-    value = T.masked_nll(probs, labels, ignore_index=ignore_index, reduction=reduction)
-    count = int((np.asarray(labels) != ignore_index).sum())
-    return LossValue(value=value, reduction=reduction, count=count)
+    return T.masked_nll(probs, labels, ignore_index=ignore_index, reduction=reduction)
 
 
-def disc_loss(d_src_logits: Tensor, d_tgt_logits: Tensor, reduction: str = "mean") -> LossValue:
+def disc_loss(d_src_logits: Tensor, d_tgt_logits: Tensor, reduction: str = "mean") -> Tensor:
     """Binary domain-classification loss: push sigma(d_src) toward 1 and
     sigma(d_tgt) toward 0."""
     src_term = _reduce(T.softplus(T.neg(d_src_logits)), reduction)
     tgt_term = _reduce(T.softplus(d_tgt_logits), reduction)
-    value = T.add(src_term, tgt_term)
-    return LossValue(value=value, reduction=reduction, count=d_src_logits.data.size + d_tgt_logits.data.size)
+    return T.add(src_term, tgt_term)
 
 
-def adv_loss(d_tgt_logits: Tensor, reduction: str = "mean") -> LossValue:
+def adv_loss(d_tgt_logits: Tensor, reduction: str = "mean") -> Tensor:
     """Confusion loss on target logits: push sigma(d_tgt) toward the source
     label 1, i.e. mean -log sigma(d_tgt)."""
-    value = _reduce(T.softplus(T.neg(d_tgt_logits)), reduction)
-    return LossValue(value=value, reduction=reduction, count=d_tgt_logits.data.size)
+    return _reduce(T.softplus(T.neg(d_tgt_logits)), reduction)
 
 
-def total_seg_objective(l_seg: LossValue, l_adv: LossValue, weight: float) -> LossValue:
-    """l_seg + weight * l_adv; weight 0 returns l_seg's tensor unchanged."""
+def total_seg_objective(l_seg: Tensor, l_adv: Tensor, weight: float) -> Tensor:
+    """l_seg + weight * l_adv; weight 0 returns l_seg itself."""
     if weight < 0:
         raise ValueError("adversarial weight must be nonnegative")
     if weight == 0.0:
-        return LossValue(value=l_seg.value, reduction=l_seg.reduction, count=l_seg.count)
-    value = T.add(l_seg.value, T.scale(l_adv.value, weight))
-    return LossValue(value=value, reduction=l_seg.reduction, count=l_seg.count)
+        return l_seg
+    return T.add(l_seg, T.scale(l_adv, weight))

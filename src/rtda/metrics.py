@@ -36,11 +36,6 @@ class ConfusionMatrix:
             raise ValueError(f"truth label outside [0, {k}) and not {ignore_index}")
         np.add.at(self.counts, (t, p), 1)
 
-    def merge(self, other: "ConfusionMatrix") -> None:
-        if other.num_classes != self.num_classes:
-            raise ValueError("class-count mismatch")
-        self.counts += other.counts
-
     def total(self) -> int:
         return int(self.counts.sum())
 
@@ -73,14 +68,13 @@ def miou(cm: ConfusionMatrix, class_subset=None):
     return per_class, sum(scored) / len(scored)
 
 
-def report_csv(cm: ConfusionMatrix, class_subset=None, class_names=None) -> str:
+def report_csv(cm: ConfusionMatrix, class_subset=None) -> str:
     """`class,iou` rows for every scored class plus an mIoU footer."""
     per_class, mean = miou(cm, class_subset)
     lines = ["class,iou"]
     for c, iou in enumerate(per_class):
         if iou is None:
             continue
-        name = class_names[c] if class_names else str(c)
-        lines.append(f"{name},{iou:.6f}")
+        lines.append(f"{c},{iou:.6f}")
     lines.append(f"mIoU,{mean:.6f}")
     return "\n".join(lines) + "\n"

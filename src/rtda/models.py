@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from rtda import tensor as T
 from rtda.nn import (
     BatchNorm2d,
@@ -299,44 +297,28 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-def _conv_cost(layer: Conv2d, h: int, w: int):
+def _conv_cost(layer: Conv2d | DepthwiseSeparableConv2d, h: int, w: int):
+    """Parameters, conv MACs and output extent of one conv layer: every
+    output position costs one multiply-accumulate per weight element."""
     out_h = (h + 2 * layer.pad - layer.kernel) // layer.stride + 1
     out_w = (w + 2 * layer.pad - layer.kernel) // layer.stride + 1
     if out_h < 1 or out_w < 1:
         raise ValueError(f"resolution {h}x{w} cannot propagate through kernel {layer.kernel}")
-    params = layer.out_channels * layer.in_channels * layer.kernel**2 + layer.out_channels
-    macs = layer.kernel**2 * layer.in_channels * layer.out_channels * out_h * out_w
-    return params, macs, out_h, out_w
-
-
-def _dsconv_cost(layer: DepthwiseSeparableConv2d, h: int, w: int):
-    out_h = (h + 2 * layer.pad - layer.kernel) // layer.stride + 1
-    out_w = (w + 2 * layer.pad - layer.kernel) // layer.stride + 1
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"resolution {h}x{w} cannot propagate through kernel {layer.kernel}")
-    k2 = layer.kernel**2
-    params = layer.in_channels * k2 + layer.in_channels + layer.in_channels * layer.out_channels + layer.out_channels
-    macs = (k2 * layer.in_channels + layer.in_channels * layer.out_channels) * out_h * out_w
-    return params, macs, out_h, out_w
+    sizes = {name: p.data.size for name, p in layer.named_parameters()}
+    weights = sum(size for name, size in sizes.items() if name.endswith("weight"))
+    return sum(sizes.values()), out_h * out_w * weights, out_h, out_w
 
 
 def count_flops(model: Sequential, height: int, width: int, name: str = "discriminator") -> CostReport:
     """Walk a sequential conv stack, propagating the spatial size by the
     exact shape rule, and tally parameters and conv MACs per layer."""
-    first = next((l for l in model.layers if isinstance(l, (Conv2d, DepthwiseSeparableConv2d))), None)
-    if first is None:
+    convs = [l for l in model.layers if isinstance(l, (Conv2d, DepthwiseSeparableConv2d))]
+    if not convs:
         raise ValueError("count_flops expects at least one convolution layer")
-    report = CostReport(architecture=name, in_channels=first.in_channels, height=height, width=width)
+    report = CostReport(architecture=name, in_channels=convs[0].in_channels, height=height, width=width)
     h, w = height, width
-    idx = 0
-    for layer in model.layers:
-        if isinstance(layer, Conv2d):
-            params, macs, h, w = _conv_cost(layer, h, w)
-        elif isinstance(layer, DepthwiseSeparableConv2d):
-            params, macs, h, w = _dsconv_cost(layer, h, w)
-        else:
-            continue
-        idx += 1
+    for idx, layer in enumerate(convs, start=1):
+        params, macs, h, w = _conv_cost(layer, h, w)
         report.rows.append(CostRow(name=f"conv{idx} ({layer.in_channels}->{layer.out_channels})", params=params, macs=macs))
     return report
 
@@ -345,35 +327,3 @@ def discriminator_cost(variant: str, num_classes: int, height: int, width: int) 
     variant = canonical_variant(variant)
     model = build_discriminator(variant, num_classes, init=False)
     return count_flops(model, height, width, name=variant)
-
-
-def tally_conv_multiplies(model: Sequential, height: int, width: int) -> int:
-    """Independent MAC oracle: enumerate every output position of the
-    convolution loop nest and add the multiplies its inner loop performs.
-    """
-    total = 0
-    h, w = height, width
-    for layer in model.layers:
-        if isinstance(layer, Conv2d):
-            out_h = (h + 2 * layer.pad - layer.kernel) // layer.stride + 1
-            out_w = (w + 2 * layer.pad - layer.kernel) // layer.stride + 1
-            inner = layer.in_channels * layer.kernel * layer.kernel
-            for _c in range(layer.out_channels):
-                for _i in range(out_h):
-                    for _j in range(out_w):
-                        total += inner
-            h, w = out_h, out_w
-        elif isinstance(layer, DepthwiseSeparableConv2d):
-            out_h = (h + 2 * layer.pad - layer.kernel) // layer.stride + 1
-            out_w = (w + 2 * layer.pad - layer.kernel) // layer.stride + 1
-            dw_inner = layer.kernel * layer.kernel
-            for _c in range(layer.in_channels):
-                for _i in range(out_h):
-                    for _j in range(out_w):
-                        total += dw_inner
-            for _c in range(layer.out_channels):
-                for _i in range(out_h):
-                    for _j in range(out_w):
-                        total += layer.in_channels
-            h, w = out_h, out_w
-    return total

@@ -63,10 +63,6 @@ class Module:
         for child in self._children.values():
             yield from child.modules()
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
     def set_requires_grad(self, flag: bool):
         for p in self.parameters():
             p.requires_grad = flag
@@ -104,7 +100,7 @@ class Sequential(Module):
 
 
 class Conv2d(Module):
-    def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0, dtype=np.float32):
+    def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -112,9 +108,9 @@ class Conv2d(Module):
         self.stride = stride
         self.pad = pad
         self.weight = Tensor(
-            np.zeros((out_channels, in_channels, kernel, kernel), dtype=dtype), requires_grad=True
+            np.zeros((out_channels, in_channels, kernel, kernel), dtype=np.float32), requires_grad=True
         )
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_channels, dtype=np.float32), requires_grad=True)
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, stride=self.stride, pad=self.pad)
@@ -124,17 +120,17 @@ class DepthwiseSeparableConv2d(Module):
     """Depthwise stage (stride/pad apply here) followed by a 1x1 pointwise
     stage at stride 1, pad 0. Both stages carry biases."""
 
-    def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0, dtype=np.float32):
+    def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
         self.pad = pad
-        self.dw_weight = Tensor(np.zeros((in_channels, 1, kernel, kernel), dtype=dtype), requires_grad=True)
-        self.dw_bias = Tensor(np.zeros(in_channels, dtype=dtype), requires_grad=True)
-        self.pw_weight = Tensor(np.zeros((out_channels, in_channels, 1, 1), dtype=dtype), requires_grad=True)
-        self.pw_bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
+        self.dw_weight = Tensor(np.zeros((in_channels, 1, kernel, kernel), dtype=np.float32), requires_grad=True)
+        self.dw_bias = Tensor(np.zeros(in_channels, dtype=np.float32), requires_grad=True)
+        self.pw_weight = Tensor(np.zeros((out_channels, in_channels, 1, 1), dtype=np.float32), requires_grad=True)
+        self.pw_bias = Tensor(np.zeros(out_channels, dtype=np.float32), requires_grad=True)
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         x = T.depthwise_conv2d(x, self.dw_weight, self.dw_bias, stride=self.stride, pad=self.pad)
@@ -142,15 +138,15 @@ class DepthwiseSeparableConv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32):
+    """Batch normalization with T.batch_norm's momentum (0.1) and eps (1e-5)."""
+
+    def __init__(self, channels):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_var", np.ones(channels, dtype=dtype))
+        self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
+        self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
+        self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         return T.batch_norm(
@@ -160,8 +156,6 @@ class BatchNorm2d(Module):
             self.running_mean,
             self.running_var,
             train=train,
-            momentum=self.momentum,
-            eps=self.eps,
         )
 
 

@@ -91,14 +91,13 @@ class SGD(_Optimizer):
 
 
 class Adam(_Optimizer):
-    def __init__(self, named_params, lr: float, betas=(0.9, 0.99), eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, named_params, lr: float, betas=(0.9, 0.99), eps: float = 1e-8):
         super().__init__(named_params, lr)
         b1, b2 = betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise ValueError("betas must lie in [0, 1)")
         self.betas = (b1, b2)
         self.eps = eps
-        self.weight_decay = weight_decay
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
         self.step_count = 0
@@ -125,8 +124,6 @@ class Adam(_Optimizer):
             for lo in range(0, p.data.size, _SLICE):
                 x, g, m, v = (arr[lo:lo + _SLICE] for arr in flat)
                 a, b = work_a[:x.size], work_b[:x.size]
-                if self.weight_decay:
-                    g = np.add(g, np.multiply(self.weight_decay, x, out=a), out=a)
                 m *= b1
                 m += np.multiply(1.0 - b1, g, out=b)
                 v *= b2

@@ -73,9 +73,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -217,13 +214,18 @@ def log(a: Tensor) -> Tensor:
     return _result(out, (a,), lambda g: (g / a_data,), "log")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x), split by sign so no exp overflows."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _stable_sigmoid(a.data)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -237,12 +239,7 @@ def softplus(a: Tensor) -> Tensor:
     out = np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
     def vjp(g):
-        s = np.empty_like(x)
-        pos = x >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        s[~pos] = ex / (1.0 + ex)
-        return (g * s,)
+        return (g * _stable_sigmoid(x),)
 
     return _result(out, (a,), vjp, "softplus")
 
@@ -465,20 +462,14 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, p
     # tap (di,dj) of every patch, and that tap's per-channel coefficient
     coefs = np.ascontiguousarray(kern.reshape(c_in, -1).T).reshape(k_h * k_w, 1, c_in, 1, 1)
     hp, wp = h + 2 * pad, w + 2 * pad
+    s = stride
+    # Split the padded input into s*s contiguous stride-phase blocks so every
+    # tap becomes a dense slice of one block; at stride 1 the block is xp.
+    xs = [[np.ascontiguousarray(xp[:, :, p::s, q::s]) for q in range(s)] for p in range(s)]
 
-    if stride == 2:
-        # Split the padded input into four contiguous parity blocks so every
-        # tap becomes a dense slice instead of a doubly strided view.
-        xs = [[np.ascontiguousarray(xp[:, :, p::2, q::2]) for q in range(2)] for p in range(2)]
-
-        def tap(di, dj):
-            a, b = di >> 1, dj >> 1
-            return xs[di & 1][dj & 1][:, :, a : a + out_h, b : b + out_w]
-
-    else:
-
-        def tap(di, dj):
-            return xp[:, :, di : di + stride * out_h : stride, dj : dj + stride * out_w : stride]
+    def tap(di, dj):
+        a, b = di // s, dj // s
+        return xs[di % s][dj % s][:, :, a : a + out_h, b : b + out_w]
 
     out = np.zeros((n, c_in, out_h, out_w), dtype=x.dtype)
     for di in range(k_h):
@@ -495,39 +486,30 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, p
                     gw[:, 0, di, dj] = np.einsum("nchw,nchw->c", g, tap(di, dj))
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
-        if x.requires_grad and stride == 2:
-            # accumulate per parity block, then interleave straight into the
-            # unpadded gradient; element order matches the generic path
+        if x.requires_grad:
+            # accumulate per stride-phase block in tap order, then interleave
+            # straight into the unpadded gradient
             gs = [
                 [
-                    np.zeros((n, c_in, (hp - p + 1) // 2, (wp - q + 1) // 2), dtype=g.dtype)
-                    for q in range(2)
+                    np.zeros((n, c_in, (hp - p + s - 1) // s, (wp - q + s - 1) // s), dtype=g.dtype)
+                    for q in range(s)
                 ]
-                for p in range(2)
+                for p in range(s)
             ]
             for di in range(k_h):
                 for dj in range(k_w):
-                    a, b = di >> 1, dj >> 1
-                    gs[di & 1][dj & 1][:, :, a : a + out_h, b : b + out_w] += g * coefs[di * k_w + dj]
+                    a, b = di // s, dj // s
+                    gs[di % s][dj % s][:, :, a : a + out_h, b : b + out_w] += g * coefs[di * k_w + dj]
             gx = np.empty((n, c_in, h, w), dtype=g.dtype)
-            for p in range(2):
-                for q in range(2):
-                    i0, j0 = (p - pad) % 2, (q - pad) % 2
-                    gx[:, :, i0::2, j0::2] = gs[p][q][
+            for p in range(s):
+                for q in range(s):
+                    i0, j0 = (p - pad) % s, (q - pad) % s
+                    gx[:, :, i0::s, j0::s] = gs[p][q][
                         :,
                         :,
-                        (pad + i0) // 2 : (pad + i0) // 2 + (h - i0 + 1) // 2,
-                        (pad + j0) // 2 : (pad + j0) // 2 + (w - j0 + 1) // 2,
+                        (pad + i0) // s : (pad + i0) // s + (h - i0 + s - 1) // s,
+                        (pad + j0) // s : (pad + j0) // s + (w - j0 + s - 1) // s,
                     ]
-        elif x.requires_grad:
-            gp = np.zeros((n, c_in, hp, wp), dtype=g.dtype)
-            for di in range(k_h):
-                for dj in range(k_w):
-                    gp[:, :, di : di + stride * out_h : stride, dj : dj + stride * out_w : stride] += (
-                        g * coefs[di * k_w + dj]
-                    )
-            gx = gp[:, :, pad : pad + h, pad : pad + w] if pad else gp
-            gx = np.ascontiguousarray(gx)
         return gx, gw, gb
 
     return _result(out, (x, weight, bias), vjp, "depthwise_conv2d")

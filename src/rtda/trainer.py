@@ -27,7 +27,7 @@ from rtda import tensor as T
 from rtda.checkpoint import load_checkpoint, save_checkpoint, seed_to_limbs, limbs_to_seed
 from rtda.config import TrainConfig
 from rtda.data import DomainBatch, SceneDataset, derive_seed, paired_batch
-from rtda.losses import LossValue, adv_loss, disc_loss, seg_cross_entropy, total_seg_objective
+from rtda.losses import adv_loss, disc_loss, seg_cross_entropy, total_seg_objective
 from rtda.metrics import ConfusionMatrix, miou
 from rtda.models import build_discriminator, build_mini_bisenet, canonical_variant
 from rtda.nn import Module
@@ -152,8 +152,8 @@ def _load_module(module: Module, tag: str, tensors: dict) -> None:
         target[...] = src
 
 
-def _finite_loss(loss: LossValue, iteration: int, name: str) -> float:
-    value = loss.value.item()
+def _finite_loss(loss: Tensor, iteration: int, name: str) -> float:
+    value = loss.item()
     if not np.isfinite(value):
         raise NumericalAbort(iteration, name)
     return value
@@ -194,7 +194,7 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
 
         # (3) one segmentation step on the combined objective
         state.seg_opt.zero_grad()
-        backward(total.value)
+        backward(total)
         state.seg_opt.lr = lr_seg
         state.seg_opt.step()
         # the tensors above hold the segmenter's whole tape; step (4) needs
@@ -213,7 +213,7 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
                             reduction=cfg.loss_reduction)
             _finite_loss(l_d, it, "l_d")
             state.disc_opt.zero_grad()
-            backward(l_d.value)
+            backward(l_d)
             state.disc_opt.lr = lr_disc
             state.disc_opt.step()
             d_val = l_d.item()

@@ -20,16 +20,14 @@ from rtda.data import SceneDataset, ShiftConfig
 from rtda.gradcheck import run_primitive_suite
 from rtda.losses import adv_loss, disc_loss, seg_cross_entropy
 from rtda.metrics import ConfusionMatrix, miou
-from rtda.models import (
-    build_discriminator,
-    discriminator_cost,
-    tally_conv_multiplies,
-)
+from rtda.models import build_discriminator, discriminator_cost
 from rtda.nn import num_params
 from rtda.optim import poly_lr
 from rtda.tensor import Tensor
 from rtda.trainer import TrainState, run_training, train_iteration
 from rtda.data import paired_batch
+
+from oracles import tally_conv_multiplies
 
 VARIANTS = ("fcd", "fcd-light", "fcd-light-thin")
 PARAM_TARGETS = {"fcd": 2_781_121, "fcd-light": 191_364, "fcd-light-thin": 13_316}

@@ -82,6 +82,8 @@ def test_parse_applies_on_top_of_base():
     "loss_reduction = median",
     "checkpoint_interval = 0",
     "width_multiplier = 0",
+    "seed = -1",
+    "seed = 18446744073709551616",
 ])
 def test_validation_rejects_bad_values(line):
     with pytest.raises(ConfigError):
@@ -145,6 +147,16 @@ def test_flops_text_output(capsys):
     out = capsys.readouterr().out
     assert "fcd at 19x512x1024" in out
     assert "total" in out
+    assert main(["flops", "fcd-light-thin"]) == 0
+    assert capsys.readouterr().out == (
+        "fcd-light-thin at 19x512x1024\n"
+        "\n"
+        "layer                    params            macs           flops\n"
+        "conv1 (19->64)            1,603     199,229,440     398,458,880\n"
+        "conv2 (64->128)           9,408     301,989,888     603,979,776\n"
+        "conv3 (128->1)            2,305      17,825,792      35,651,584\n"
+        "total                    13,316     519,045,120   1,038,090,240\n"
+    )
 
 
 def test_gradcheck_command(capsys):
@@ -188,6 +200,14 @@ def test_train_and_eval_commands(tmp_path, capsys):
     assert lines[0] == "class,iou"
     assert lines[-1].startswith("mIoU,")
     assert 0.0 <= float(lines[-1].split(",")[1]) <= 1.0
+
+    # a seed outside [0, 2^64) is refused as the config loads, not at the
+    # first checkpoint after some iterations have been trained and logged
+    bad_dir = tmp_path / "bad_seed"
+    cfg_path.write_text(dump_config(dataclasses.replace(
+        cfg, seed=-1, out_dir=str(bad_dir), checkpoint_interval=1)))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert not (bad_dir / "loss_log.csv").exists()
 
 
 EVAL_STDOUT = {

@@ -108,17 +108,6 @@ def test_accumulation_order_independent():
     assert np.array_equal(one.counts, other.counts)
 
 
-def test_merge_is_elementwise_add():
-    rng = np.random.default_rng(2)
-    a, b = ConfusionMatrix(3), ConfusionMatrix(3)
-    a.accumulate(rng.integers(0, 3, 50), rng.integers(0, 3, 50))
-    b.accumulate(rng.integers(0, 3, 50), rng.integers(0, 3, 50))
-    merged = ConfusionMatrix(3)
-    merged.merge(a)
-    merged.merge(b)
-    assert np.array_equal(merged.counts, a.counts + b.counts)
-
-
 def test_empty_effective_class_set_raises():
     cm = ConfusionMatrix(3)
     with pytest.raises(ValueError):

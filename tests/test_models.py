@@ -10,10 +10,11 @@ from rtda.models import (
     canonical_variant,
     count_flops,
     discriminator_cost,
-    tally_conv_multiplies,
 )
 from rtda.nn import num_params
 from rtda.tensor import ShapeError, Tensor
+
+from oracles import tally_conv_multiplies
 
 PARAM_TARGETS = {"fcd": 2_781_121, "fcd-light": 191_364, "fcd-light-thin": 13_316}
 GFLOP_TARGETS = {"fcd": 30.883e9, "fcd-light": 2.14e9, "fcd-light-thin": 1.038e9}
@@ -53,6 +54,61 @@ def test_cost_model_matches_loop_tally(variant):
     model = build_discriminator(variant, 19, init=False)
     report = count_flops(model, 32, 64)
     assert report.total_macs == tally_conv_multiplies(model, 32, 64)
+
+
+# Per-layer rows of every variant at the paper's resolution and at the
+# benchmark's, fixed so a change to the cost formula shows row by row.
+PINNED_COST_CSV = {
+    ("fcd", 19, 512, 1024): """layer,params,macs,flops
+conv1 (19->64),19520,2550136832,5100273664
+conv2 (64->128),131200,4294967296,8589934592
+conv3 (128->256),524544,4294967296,8589934592
+conv4 (256->512),2097664,4294967296,8589934592
+conv5 (512->1),8193,4194304,8388608
+total,2781121,15439233024,30878466048
+""",
+    ("fcd", 5, 64, 64): """layer,params,macs,flops
+conv1 (5->64),5184,5242880,10485760
+conv2 (64->128),131200,33554432,67108864
+conv3 (128->256),524544,33554432,67108864
+conv4 (256->512),2097664,33554432,67108864
+conv5 (512->1),8193,32768,65536
+total,2766785,105938944,211877888
+""",
+    ("fcd-light", 19, 512, 1024): """layer,params,macs,flops
+conv1 (19->64),1603,199229440,398458880
+conv2 (64->128),9408,301989888,603979776
+conv3 (128->256),35200,285212672,570425344
+conv4 (256->512),135936,276824064,553648128
+conv5 (512->1),9217,4456448,8912896
+total,191364,1067712512,2135425024
+""",
+    ("fcd-light", 5, 64, 64): """layer,params,macs,flops
+conv1 (5->64),469,409600,819200
+conv2 (64->128),9408,2359296,4718592
+conv3 (128->256),35200,2228224,4456448
+conv4 (256->512),135936,2162688,4325376
+conv5 (512->1),9217,34816,69632
+total,190230,7194624,14389248
+""",
+    ("fcd-light-thin", 19, 512, 1024): """layer,params,macs,flops
+conv1 (19->64),1603,199229440,398458880
+conv2 (64->128),9408,301989888,603979776
+conv3 (128->1),2305,17825792,35651584
+total,13316,519045120,1038090240
+""",
+    ("fcd-light-thin", 5, 64, 64): """layer,params,macs,flops
+conv1 (5->64),469,409600,819200
+conv2 (64->128),9408,2359296,4718592
+conv3 (128->1),2305,139264,278528
+total,12182,2908160,5816320
+""",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_COST_CSV))
+def test_cost_rows_pinned(key):
+    assert discriminator_cost(*key).to_csv() == PINNED_COST_CSV[key]
 
 
 def test_flops_scale_linearly_in_area():

@@ -119,7 +119,7 @@ def test_depthwise_per_channel_independence():
     assert np.all(out.data[0, 1] == 0.0)
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])
+@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0), (3, 0), (3, 1)])
 def test_depthwise_equals_block_diagonal_conv(stride, pad):
     c = 3
     x = rand((2, c, 7, 9), 5)
@@ -138,7 +138,7 @@ def test_depthwise_equals_block_diagonal_conv(stride, pad):
     h=st.integers(3, 9),
     w=st.integers(3, 9),
     k=st.integers(1, 4),
-    stride=st.integers(1, 2),
+    stride=st.integers(1, 3),
     pad=st.integers(0, 2),
     seed=st.integers(0, 10_000),
 )
@@ -164,22 +164,23 @@ def test_depthwise_wrong_weight_shape():
                            Tensor(np.zeros(3, dtype=np.float32)))
 
 
-def test_depthwise_gradients_match_dense_equivalent():
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_depthwise_gradients_match_dense_equivalent(stride):
     c = 2
     x = rand((1, c, 6, 6), 11)
     wt = rand((c, 1, 4, 4), 12, scale=0.5)
     b = rand((c,), 13)
-    probe = rand((1, c, 3, 3), 14)
 
     xt, wtt, bt = Tensor(x, True), Tensor(wt, True), Tensor(b, True)
-    out = T.depthwise_conv2d(xt, wtt, bt, stride=2, pad=1)
+    out = T.depthwise_conv2d(xt, wtt, bt, stride=stride, pad=1)
+    probe = rand(out.shape, 14)
     T.backward(T.reduce_sum(T.mul(out, Tensor(probe))))
 
     block = np.zeros((c, c, 4, 4), dtype=np.float32)
     for i in range(c):
         block[i, i] = wt[i, 0]
     xd, wd, bd = Tensor(x, True), Tensor(block, True), Tensor(b, True)
-    ref = T.conv2d(xd, wd, bd, stride=2, pad=1)
+    ref = T.conv2d(xd, wd, bd, stride=stride, pad=1)
     T.backward(T.reduce_sum(T.mul(ref, Tensor(probe))))
 
     np.testing.assert_allclose(xt.grad, xd.grad, rtol=1e-4, atol=1e-6)
@@ -409,14 +410,6 @@ def test_backward_requires_scalar():
     x = Tensor(rand((1, 2, 2, 2), 75), requires_grad=True)
     with pytest.raises(ShapeError):
         T.backward(T.mul(x, x))
-
-
-def test_detach_cuts_graph():
-    x = Tensor(rand((1, 2, 2, 2), 76), requires_grad=True)
-    y = T.mul(x, x)
-    z = y.detach()
-    assert not z.requires_grad
-    assert np.array_equal(z.data, y.data)
 
 
 def test_non_finite_forward_raises():

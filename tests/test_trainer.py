@@ -16,7 +16,7 @@ from rtda import tensor as T
 from rtda.checkpoint import load_checkpoint, save_checkpoint
 from rtda.config import TrainConfig
 from rtda.data import DomainBatch, SceneDataset, ShiftConfig, paired_batch
-from rtda.losses import LossValue, adv_loss, disc_loss, seg_cross_entropy
+from rtda.losses import disc_loss, seg_cross_entropy
 from rtda.optim import poly_lr
 from rtda.tensor import Tensor, backward
 from rtda.trainer import (
@@ -85,7 +85,7 @@ def test_frozen_discriminator_receives_no_gradients():
     from rtda.losses import adv_loss, total_seg_objective
     l_adv = adv_loss(state.disc(tgt_probs, train=True))
     total = total_seg_objective(l_seg, l_adv, 0.01)
-    backward(total.value)
+    backward(total)
     assert all(p.grad is None for _, p in state.disc.named_parameters())
     seg_grads = [p.grad for _, p in state.seg.named_parameters()]
     assert all(g is not None for g in seg_grads)
@@ -101,7 +101,7 @@ def test_detached_maps_cut_gradients_to_segmenter():
     both = Tensor(np.concatenate([src_probs.data, tgt_probs.data], axis=0))
     d = state.disc(both, train=True)
     l_d = disc_loss(T.slice_batch(d, 0, n), T.slice_batch(d, n, d.shape[0]))
-    backward(l_d.value)
+    backward(l_d)
     assert all(p.grad is None for _, p in state.seg.named_parameters())
     assert all(p.grad is not None for _, p in state.disc.named_parameters())
 
@@ -122,7 +122,7 @@ def test_lambda_zero_trains_segmenter_as_if_alone():
         probs = T.softmax_channels(ref.seg(batch.src_images, train=True))
         l = seg_cross_entropy(probs, batch.src_labels)
         ref.seg_opt.zero_grad()
-        backward(l.value)
+        backward(l)
         ref.seg_opt.lr = poly_lr(cfg.seg_lr, it, cfg.max_iter, cfg.poly_power)
         ref.seg_opt.step()
 
@@ -305,9 +305,7 @@ def test_abort_in_adversarial_step_unfreezes_discriminator(monkeypatch):
     import rtda.trainer as trainer
 
     def poisoned_adv_loss(logits, reduction="mean"):
-        loss = adv_loss(logits, reduction)
-        return LossValue(value=Tensor(np.array(np.inf, dtype=np.float32)),
-                         reduction=loss.reduction, count=loss.count)
+        return Tensor(np.array(np.inf, dtype=np.float32))
 
     monkeypatch.setattr(trainer, "adv_loss", poisoned_adv_loss)
     state = TrainState(small_cfg(lambda_adv=0.01))
