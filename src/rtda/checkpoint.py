@@ -50,13 +50,6 @@ def seed_to_limbs(seed: int) -> np.ndarray:
     return np.array([(seed >> (16 * i)) & 0xFFFF for i in range(4)], dtype=np.float32)
 
 
-def limbs_to_seed(limbs: np.ndarray) -> int:
-    vals = [int(v) for v in np.asarray(limbs).reshape(-1)]
-    if len(vals) != 4 or any(not 0 <= v < 2**16 for v in vals):
-        raise CheckpointError("malformed seed limbs")
-    return sum(v << (16 * i) for i, v in enumerate(vals))
-
-
 def _byte_sum(buf) -> int:
     return int(np.frombuffer(buf, dtype=np.uint8).sum(dtype=np.uint64))
 

@@ -36,9 +36,6 @@ class ConfusionMatrix:
             raise ValueError(f"truth label outside [0, {k}) and not {ignore_index}")
         np.add.at(self.counts, (t, p), 1)
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def miou(cm: ConfusionMatrix, class_subset=None):
     """Per-class IoUs (length K, None where unscored or outside the subset)

@@ -142,7 +142,6 @@ class BatchNorm2d(Module):
 
     def __init__(self, channels):
         super().__init__()
-        self.channels = channels
         self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))

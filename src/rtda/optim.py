@@ -4,7 +4,8 @@ SGD carries classic momentum with weight decay added to the gradient;
 Adam keeps bias-corrected first/second moments. Both read the gradient
 accumulated in each parameter's .grad and mutate parameter data in
 place. The current learning rate is a plain attribute so a schedule can
-be applied from outside between steps.
+be applied from outside between steps. Each optimizer names its own
+buffers in state_tensors(), as views a checkpoint load fills in place.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ class _Optimizer:
         names = [n for n, _ in self.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
-        self.base_lr = lr
         self.lr = lr
-        self.iteration = 0
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -51,19 +50,6 @@ class _Optimizer:
         if p.grad.shape != p.data.shape:
             raise ShapeError(f"gradient shape {p.grad.shape} mismatches parameter {name} {p.data.shape}")
         return p.grad
-
-    def state_tensors(self) -> dict:
-        """Flat name -> array view of every optimizer buffer, for checkpoints."""
-        raise NotImplementedError
-
-    def load_state_tensors(self, tensors: dict) -> None:
-        for name, arr in self.state_tensors().items():
-            if name not in tensors:
-                raise KeyError(f"missing optimizer buffer {name}")
-            src = tensors[name]
-            if tuple(src.shape) != tuple(arr.shape):
-                raise ShapeError(f"buffer {name}: shape {src.shape} != {arr.shape}")
-            arr[...] = src
 
 
 class SGD(_Optimizer):
@@ -84,7 +70,6 @@ class SGD(_Optimizer):
             v *= self.momentum
             v += g
             p.data -= (self.lr * v).astype(p.data.dtype, copy=False)
-        self.iteration += 1
 
     def state_tensors(self) -> dict:
         return {f"velocity.{name}": v for name, v in self.velocity.items()}
@@ -131,7 +116,6 @@ class Adam(_Optimizer):
                 m_hat = np.divide(m, bc1, out=a)
                 denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
                 x -= np.divide(np.multiply(self.lr, m_hat, out=a), denom, out=a)
-        self.iteration += 1
 
     def state_tensors(self) -> dict:
         out = {}

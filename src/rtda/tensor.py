@@ -10,7 +10,8 @@ Reference semantics are single-threaded and deterministic: the same op
 sequence on the same inputs yields bitwise-identical results. Convolutions
 use an im2col view plus one tensordot (a single BLAS contraction) rather
 than explicit loops. Broadcasting is deliberately narrow: elementwise ops
-accept equal shapes, or one (N,C,1,1) operand against (N,C,H,W).
+accept equal shapes, or an (N,C,H,W) first operand with an (N,C,1,1)
+second one.
 
 Every primitive checks its output for NaN/Inf and raises NonFiniteError;
 a non-finite value is an error condition here, never a silent state.
@@ -152,13 +153,6 @@ def _broadcast_kind(a_shape, b_shape) -> str:
         and a_shape[:2] == b_shape[:2]
     ):
         return "b_spatial"
-    if (
-        len(a_shape) == 4
-        and len(b_shape) == 4
-        and a_shape[2:] == (1, 1)
-        and a_shape[:2] == b_shape[:2]
-    ):
-        return "a_spatial"
     raise ShapeError(f"incompatible shapes {a_shape} and {b_shape}")
 
 
@@ -175,9 +169,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     kind = _broadcast_kind(a.shape, b.shape)
 
     def vjp(g):
-        ga = _reduce_spatial(g) if kind == "a_spatial" else g
-        gb = _reduce_spatial(g) if kind == "b_spatial" else g
-        return ga, gb
+        return g, (_reduce_spatial(g) if kind == "b_spatial" else g)
 
     return _result(a.data + b.data, (a, b), vjp, "add")
 
@@ -188,13 +180,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def vjp(g):
-        ga = g * b_data
         gb = g * a_data
-        if kind == "a_spatial":
-            ga = _reduce_spatial(ga)
-        elif kind == "b_spatial":
-            gb = _reduce_spatial(gb)
-        return ga, gb
+        return g * b_data, (_reduce_spatial(gb) if kind == "b_spatial" else gb)
 
     return _result(a.data * b.data, (a, b), vjp, "mul")
 
@@ -534,11 +521,14 @@ def softmax_channels(x: Tensor) -> Tensor:
     return _result(out, (x,), vjp, "softmax_channels")
 
 
+_NLL_CLAMP = 1e-12
+
+
 def masked_nll(probs: Tensor, labels: np.ndarray, ignore_index: int = 255,
-               clamp: float = 1e-12, reduction: str = "mean") -> Tensor:
+               reduction: str = "mean") -> Tensor:
     """-log(probs at the true class), reduced over pixels whose label is not
     the ignore index. Fused gather+log so unselected channels never touch
-    log(0); probabilities below `clamp` are clamped (zero gradient there).
+    log(0); probabilities below _NLL_CLAMP are clamped (zero gradient there).
     """
     if reduction not in ("mean", "sum"):
         raise ValueError(f"unknown reduction {reduction!r}")
@@ -563,12 +553,12 @@ def masked_nll(probs: Tensor, labels: np.ndarray, ignore_index: int = 255,
 
     idx = np.where(mask, labels, 0)[:, None, :, :]
     gathered = np.take_along_axis(probs.data, idx, axis=1)[:, 0]
-    clamped = np.maximum(gathered, clamp)
+    clamped = np.maximum(gathered, _NLL_CLAMP)
     loss = -(np.log(clamped)[mask].sum()) / denom
 
     def vjp(g):
         gp = np.zeros_like(gathered)
-        live = mask & (gathered >= clamp)
+        live = mask & (gathered >= _NLL_CLAMP)
         gp[live] = -g / (clamped[live] * denom)
         out = np.zeros_like(probs.data)
         np.put_along_axis(out, idx, gp[:, None, :, :], axis=1)
@@ -616,6 +606,9 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # batch normalization (fused, both modes)
 
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+
 
 def batch_norm(
     x: Tensor,
@@ -624,14 +617,12 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     train: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Channelwise batch normalization over (N,H,W).
 
     Train mode normalizes with the current batch's biased statistics and
-    updates the running buffers in place; eval mode is a pure affine map
-    using the running buffers.
+    updates the running buffers in place with momentum _BN_MOMENTUM; eval
+    mode is a pure affine map using the running buffers.
     """
     _check_dtypes("batch_norm", x, gamma, beta)
     if x.data.ndim != 4:
@@ -645,15 +636,15 @@ def batch_norm(
     if train:
         mean = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        running_mean *= dtype.type(1.0 - momentum)
-        running_mean += dtype.type(momentum) * mean
-        running_var *= dtype.type(1.0 - momentum)
-        running_var += dtype.type(momentum) * var
+        running_mean *= dtype.type(1.0 - _BN_MOMENTUM)
+        running_mean += dtype.type(_BN_MOMENTUM) * mean
+        running_var *= dtype.type(1.0 - _BN_MOMENTUM)
+        running_var += dtype.type(_BN_MOMENTUM) * var
     else:
         mean = running_mean
         var = running_var
 
-    inv_std = 1.0 / np.sqrt(var + dtype.type(eps))
+    inv_std = 1.0 / np.sqrt(var + dtype.type(_BN_EPS))
     xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
     out = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
 

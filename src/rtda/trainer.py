@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rtda import tensor as T
-from rtda.checkpoint import load_checkpoint, save_checkpoint, seed_to_limbs, limbs_to_seed
+from rtda.checkpoint import load_checkpoint, save_checkpoint, seed_to_limbs
 from rtda.config import TrainConfig
 from rtda.data import DomainBatch, SceneDataset, derive_seed, paired_batch
 from rtda.losses import adv_loss, disc_loss, seg_cross_entropy, total_seg_objective
@@ -65,30 +65,35 @@ class LossRecord:
 
 
 class TrainState:
+    """Networks, optimizers and iteration of one run. With `cfg.resume` set
+    the state is filled from that checkpoint, and no init is drawn for the
+    weights it overwrites."""
+
     def __init__(self, cfg: TrainConfig):
         cfg.validate()
         self.cfg = cfg
+        init = not cfg.resume
         self.seg = build_mini_bisenet(cfg.num_classes, cfg.width_multiplier,
-                                      seed=derive_seed(cfg.seed, _SEG_SALT))
+                                      seed=derive_seed(cfg.seed, _SEG_SALT), init=init)
         self.disc = build_discriminator(cfg.disc_variant, cfg.num_classes,
                                         seed=derive_seed(cfg.seed, _DISC_SALT),
-                                        final_zero_init=cfg.disc_final_zero_init)
+                                        final_zero_init=cfg.disc_final_zero_init, init=init)
         self.seg_opt = SGD(self.seg.named_parameters(), lr=cfg.seg_lr,
                            momentum=cfg.momentum, weight_decay=cfg.weight_decay)
         self.disc_opt = Adam(self.disc.named_parameters(), lr=cfg.disc_lr,
                              betas=(cfg.adam_beta1, cfg.adam_beta2), eps=cfg.adam_eps)
         self.iteration = 0
         self.history: list[LossRecord] = []
+        if cfg.resume:
+            self.load(cfg.resume)
 
     # -- checkpoint plumbing ------------------------------------------------
 
     def state_tensors(self) -> dict:
+        """Every checkpoint entry by name: the one table that save writes,
+        load checks and fills, and the eval load filters."""
         cfg = self.cfg
-        out = {}
-        for name, p in self.seg.named_parameters():
-            out[f"model.seg.{name}"] = p.data
-        for name, b in self.seg.named_buffers():
-            out[f"buffer.seg.{name}"] = b
+        out = _seg_tensors(self.seg)
         for name, p in self.disc.named_parameters():
             out[f"model.disc.{name}"] = p.data
         for name, arr in self.seg_opt.state_tensors().items():
@@ -106,49 +111,40 @@ class TrainState:
             [ord(ch) for ch in canonical_variant(cfg.disc_variant)], dtype=np.float32)
         return out
 
-    def load_tensors(self, iteration: int, tensors: dict) -> None:
-        cfg = self.cfg
-        checks = {
-            "meta.num_classes": cfg.num_classes,
-            "meta.image_size": cfg.image_size,
-            "meta.batch": cfg.batch,
-            "meta.max_iter": cfg.max_iter,
-        }
-        for name, expect in checks.items():
-            got = int(tensors[name])
-            if got != expect:
-                raise ValueError(f"checkpoint {name}={got} conflicts with config value {expect}")
-        if limbs_to_seed(tensors["meta.seed"]) != cfg.seed:
-            raise ValueError("checkpoint seed conflicts with config seed")
-        _load_module(self.seg, "seg", tensors)
-        _load_module(self.disc, "disc", tensors)
-        self.seg_opt.load_state_tensors(
-            {k[len("opt.seg."):]: v for k, v in tensors.items() if k.startswith("opt.seg.")})
-        self.disc_opt.load_state_tensors(
-            {k[len("opt.disc."):]: v for k, v in tensors.items() if k.startswith("opt.disc.")})
-        self.disc_opt.step_count = int(tensors["meta.adam_step"])
-        self.iteration = iteration
-
     def save(self, path: str) -> None:
         save_checkpoint(path, self.iteration, self.state_tensors())
 
     def load(self, path: str) -> None:
+        """Fill the state from a checkpoint, refusing one whose meta entries
+        (all but Adam's step count) differ from this config's."""
         iteration, tensors = load_checkpoint(path)
-        self.load_tensors(iteration, tensors)
+        own = self.state_tensors()
+        for name, expect in own.items():
+            if name.startswith("meta.") and name != "meta.adam_step":
+                got = tensors.get(name)
+                if got is None or not np.array_equal(got, expect):
+                    raise ValueError(f"checkpoint {name}={got!s} conflicts with config value {expect!s}")
+        _fill({k: v for k, v in own.items() if not k.startswith("meta.")}, tensors)
+        self.disc_opt.step_count = int(tensors["meta.adam_step"])
+        self.iteration = iteration
 
 
-def _load_module(module: Module, tag: str, tensors: dict) -> None:
-    """Copy `model.<tag>.*` and `buffer.<tag>.*` checkpoint tensors into a
-    module's parameters and buffers, refusing a missing name or a shape
-    that differs from the module's."""
-    targets = [(f"model.{tag}.{name}", p.data) for name, p in module.named_parameters()]
-    targets += [(f"buffer.{tag}.{name}", b) for name, b in module.named_buffers()]
-    for name, target in targets:
+def _seg_tensors(seg: Module) -> dict:
+    """The segmenter's checkpoint entries: parameters and BatchNorm buffers."""
+    out = {f"model.seg.{name}": p.data for name, p in seg.named_parameters()}
+    out.update((f"buffer.seg.{name}", b) for name, b in seg.named_buffers())
+    return out
+
+
+def _fill(targets: dict, tensors: dict) -> None:
+    """Copy each checkpoint tensor into the target array of the same name,
+    refusing a missing name or a shape that differs from the target's."""
+    for name, target in targets.items():
         if name not in tensors:
             raise KeyError(f"checkpoint missing tensor {name}")
         src = tensors[name]
-        if tuple(src.shape) != tuple(target.shape):
-            raise ValueError(f"{name}: checkpoint shape {src.shape} != model {target.shape}")
+        if src.shape != target.shape:
+            raise ValueError(f"{name}: checkpoint shape {src.shape} != state {target.shape}")
         target[...] = src
 
 
@@ -271,8 +267,6 @@ def run_training(cfg: TrainConfig, source: SceneDataset, target: SceneDataset,
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     state = TrainState(cfg)
-    if cfg.resume:
-        state.load(cfg.resume)
 
     csv_path = os.path.join(out_dir, "loss_log.csv")
     mode = "w"
@@ -340,5 +334,5 @@ def load_seg_for_eval(ckpt_path: str):
     num_classes = int(tensors["meta.num_classes"])
     width = float(tensors["meta.width_multiplier"])
     model = build_mini_bisenet(num_classes, width, init=False)
-    _load_module(model, "seg", tensors)
+    _fill(_seg_tensors(model), tensors)
     return model, num_classes, iteration

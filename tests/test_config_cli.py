@@ -113,6 +113,32 @@ def test_every_config_field_is_read():
     assert [name for name in fields if name not in read] == []
 
 
+# Stored for a reader outside the program: the abort's context, which
+# callers and tests inspect after catching it.
+_STORED_FOR_CALLERS = {"loss_name"}
+
+
+def test_every_stored_attribute_is_read():
+    """Each `self.<attr>` the package stores is read as an attribute
+    somewhere in the package, the scripts or the benchmark, so no state is
+    kept that nothing uses."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    stored, read = set(), set()
+    for sub in ("src/rtda", "scripts", "perfbench"):
+        for path in glob.glob(os.path.join(root, sub, "*.py")):
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (sub == "src/rtda" and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"):
+                    stored.add(node.attr)
+    assert sorted(stored - read - _STORED_FOR_CALLERS) == []
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

@@ -71,7 +71,7 @@ def test_accumulate_hand_count():
 
 def test_accumulate_ignores_255():
     cm = fill(ConfusionMatrix(2), [0, 1, 1], [0, 255, 255])
-    assert cm.total() == 1
+    assert cm.counts.sum() == 1
     assert cm.counts[0, 0] == 1
 
 

@@ -207,6 +207,9 @@ def test_add_mul_broadcast_gate():
     T.backward(T.reduce_sum(out))
     np.testing.assert_allclose(gate.grad, x.data.sum(axis=(2, 3), keepdims=True), rtol=1e-5)
     np.testing.assert_allclose(x.grad, np.broadcast_to(gate.data, x.shape), rtol=1e-6)
+    # the gate broadcasts only as the second operand
+    with pytest.raises(ShapeError):
+        T.mul(gate, x)
 
 
 def test_reduce_mean_and_sum():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -281,6 +282,13 @@ def test_load_rejects_conflicting_config(tmp_path):
     wrong_seed = TrainState(small_cfg(seed=1))
     with pytest.raises(ValueError, match="seed"):
         wrong_seed.load(path)
+    # same layer shapes as width 1.0, so only the meta entry tells them apart
+    narrower = TrainState(small_cfg(width_multiplier=0.99))
+    with pytest.raises(ValueError, match="meta.width_multiplier"):
+        narrower.load(path)
+    other_disc = TrainState(small_cfg(disc_variant="fcd-light"))
+    with pytest.raises(ValueError, match="meta.disc_variant"):
+        other_disc.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -533,3 +541,39 @@ def test_load_seg_for_eval_rejects_missing_and_misshapen_tensors(tmp_path):
         save_checkpoint(path, iteration, broken)
         with pytest.raises((KeyError, ValueError), match=name):
             load_seg_for_eval(path)
+
+
+def test_resume_draws_no_init(tmp_path, monkeypatch):
+    """The checkpoint overwrites every weight, so a resumed run builds its
+    networks without drawing a Kaiming init and still gives the bytes of
+    an uninterrupted run."""
+    cfg = small_cfg(max_iter=6, checkpoint_interval=2)
+    run_training(cfg, SRC, TGT, out_dir=str(tmp_path))
+    straight = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("Kaiming init drawn for weights the checkpoint overwrites")
+
+    monkeypatch.setattr(rtda.models, "init_kaiming", no_init)
+    resumed_cfg = dataclasses.replace(cfg, resume=str(tmp_path / "ckpt_000004.ckpt"))
+    run_training(resumed_cfg, SRC, TGT, out_dir=str(tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == straight
+
+
+def test_train_state_load_rejects_missing_and_misshapen_tensors(tmp_path):
+    cfg = small_cfg(max_iter=0)
+    final, _ = run_training(cfg, SRC, TGT, out_dir=str(tmp_path))
+    iteration, tensors = load_checkpoint(final)
+    names = [next(k for k in sorted(tensors) if k.startswith(prefix))
+             for prefix in ("model.disc.", "opt.seg.velocity.", "opt.disc.m.")]
+    for name in names:
+        for change in ("drop", "reshape"):
+            broken = dict(tensors)
+            if change == "drop":
+                del broken[name]
+            else:
+                broken[name] = np.zeros(broken[name].size + 1, dtype=np.float32)
+            path = str(tmp_path / "broken.ckpt")
+            save_checkpoint(path, iteration, broken)
+            with pytest.raises((KeyError, ValueError), match=re.escape(name)):
+                TrainState(dataclasses.replace(cfg, resume=path))
