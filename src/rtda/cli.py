@@ -18,11 +18,9 @@ from rtda.config import ConfigError, load_config
 from rtda.data import SceneDataset, ShiftConfig, generate_dataset
 from rtda.metrics import report_csv
 from rtda.models import (
-    DISCRIMINATOR_VARIANTS,
     build_discriminator,
     build_mini_bisenet,
     canonical_variant,
-    count_flops,
     discriminator_cost,
 )
 from rtda.nn import num_params

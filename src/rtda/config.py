@@ -1,6 +1,6 @@
 """Run configuration: a flat dataclass parsed from `key = value` lines.
 
-Values are typed by the dataclass field (int, float, bool, str); unknown
+Values are typed by the dataclass field (int, float, str); unknown
 keys and malformed lines are errors, so config drift fails loudly. Blank
 lines and lines starting with `#` are skipped.
 """
@@ -35,8 +35,6 @@ class TrainConfig:
 
     disc_variant: str = "fcd-light-thin"
     width_multiplier: float = 1.0
-    loss_reduction: str = "mean"
-    disc_final_zero_init: bool = True
 
     data_root: str = "data"
     train_split: str = "train"
@@ -61,8 +59,6 @@ class TrainConfig:
             raise ConfigError("poly_power must lie in (0, 1]")
         if self.lambda_adv < 0:
             raise ConfigError("lambda_adv must be nonnegative")
-        if self.loss_reduction not in ("mean", "sum"):
-            raise ConfigError("loss_reduction must be 'mean' or 'sum'")
         if self.checkpoint_interval < 1:
             raise ConfigError("checkpoint_interval must be at least 1")
         if self.width_multiplier <= 0:
@@ -85,13 +81,6 @@ def _parse_value(key: str, raw: str, kind: str):
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: expected float, got {raw!r}") from exc
-    if kind == "bool":
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected boolean, got {raw!r}")
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
         raw = raw[1:-1]
     return raw

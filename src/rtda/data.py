@@ -32,8 +32,6 @@ import numpy as np
 from rtda.rng import Xoshiro256StarStar, mix64
 from rtda.tensor import Tensor
 
-IGNORE_INDEX = 255
-
 _MAGIC = b"SDR1"
 _DTYPE_F32 = 1
 _DTYPE_U8 = 2
@@ -331,10 +329,12 @@ class DomainBatch:
 
 
 @functools.lru_cache(maxsize=8)
-def _epoch_schedule(n: int, batch: int, seed: int, epoch: int) -> tuple:
-    """batch_indices as a tuple of index tuples, memoized: training asks
-    for the same two schedules (source and target) on every iteration of
-    an epoch, and the value is immutable, so sharing it is safe."""
+def epoch_schedule(n: int, batch: int, seed: int, epoch: int) -> tuple:
+    """Shuffled-epoch schedule: a tuple of index tuples covering 0..n-1
+    once, in an order fully determined by (n, batch, seed, epoch).
+    Memoized: training asks for the same two schedules (source and target)
+    on every iteration of an epoch, and the value is immutable, so sharing
+    it is safe."""
     if n < 1:
         raise ValueError("empty dataset")
     if batch < 1:
@@ -342,12 +342,6 @@ def _epoch_schedule(n: int, batch: int, seed: int, epoch: int) -> tuple:
     rng = Xoshiro256StarStar(derive_seed(seed, mix64(epoch)))
     order = tuple(rng.permutation(n))
     return tuple(order[i:i + batch] for i in range(0, n, batch))
-
-
-def batch_indices(n: int, batch: int, seed: int, epoch: int):
-    """Pure shuffled-epoch schedule: a list of index arrays covering 0..n-1
-    once, in an order fully determined by (n, batch, seed, epoch)."""
-    return [list(b) for b in _epoch_schedule(n, batch, seed, epoch)]
 
 
 def batches_per_epoch(n_source: int, n_target: int, batch: int) -> int:
@@ -360,8 +354,8 @@ def paired_batch(source: SceneDataset, target: SceneDataset, batch: int,
     datasets, batch size, seed, and iteration index (resume-safe)."""
     per_epoch = batches_per_epoch(len(source), len(target), batch)
     epoch, pos = divmod(iteration, per_epoch)
-    src_sched = _epoch_schedule(len(source), batch, derive_seed(seed, 0x737263), epoch)
-    tgt_sched = _epoch_schedule(len(target), batch, derive_seed(seed, 0x746774), epoch)
+    src_sched = epoch_schedule(len(source), batch, derive_seed(seed, 0x737263), epoch)
+    tgt_sched = epoch_schedule(len(target), batch, derive_seed(seed, 0x746774), epoch)
     src_idx, tgt_idx = src_sched[pos], tgt_sched[pos]
     k = min(len(src_idx), len(tgt_idx))
     src_idx, tgt_idx = src_idx[:k], tgt_idx[:k]

@@ -111,7 +111,6 @@ def run_primitive_suite(instances_per_op: int = 20, seed: int = 2024) -> dict:
 
         factor = rng.normal() * 2.0
         record("scale", check_gradients(lambda t: T.scale(t, factor), [rand_tensor(rng, (n, c, h, w))], rng=rng))
-        record("log", check_gradients(T.log, [rand_tensor(rng, (n, c, h, w), offset=3.0, scale=0.5)], rng=rng))
         record("sigmoid", check_gradients(T.sigmoid, [rand_tensor(rng, (n, c, h, w))], rng=rng))
         record("softplus", check_gradients(T.softplus, [rand_tensor(rng, (n, c, h, w))], rng=rng))
         record("relu", check_gradients(T.relu, [_away_from_kink(rng, (n, c, h, w))], rng=rng))
@@ -148,61 +147,58 @@ def run_primitive_suite(instances_per_op: int = 20, seed: int = 2024) -> dict:
         labels = np.array([rng.randint(c) for _ in range(n * h * w)], dtype=np.int64).reshape(n, h, w)
         for idx in range(labels.size):
             if rng.randint(5) == 0:
-                labels.flat[idx] = 255
+                labels.flat[idx] = T.IGNORE_INDEX
         labels.flat[0] = 0  # keep at least one scored pixel
-        red = "sum" if rng.randint(2) else "mean"
         record(
             "masked_nll",
             check_gradients(
-                lambda p: T.masked_nll(p, labels, reduction=red),
+                lambda p: T.masked_nll(p, labels),
                 [rand_tensor(rng, (n, c, h, w), offset=2.0, scale=0.3)],
                 rng=rng,
             ),
         )
 
-        if n >= 2:
-            s0 = rng.randint(n)
-            s1 = s0 + 1 + rng.randint(n - s0)
-            record(
-                "slice_batch",
-                check_gradients(
-                    lambda t: T.slice_batch(t, s0, s1),
-                    [rand_tensor(rng, (n, c, h, w))],
-                    rng=rng,
-                ),
-            )
+        nn2 = max(n, 2)  # a proper batch slice and batch stats need two samples
+        s0 = rng.randint(nn2)
+        s1 = s0 + 1 + rng.randint(nn2 - s0)
+        record(
+            "slice_batch",
+            check_gradients(
+                lambda t: T.slice_batch(t, s0, s1),
+                [rand_tensor(rng, (nn2, c, h, w))],
+                rng=rng,
+            ),
+        )
 
-        k = 1 + rng.randint(3)
-        stride = 1 + rng.randint(2)
         pad = rng.randint(2)
-        if h + 2 * pad >= k and w + 2 * pad >= k:
-            cout = 1 + rng.randint(3)
-            record(
-                "conv2d",
-                check_gradients(
-                    lambda xx, ww, bb: T.conv2d(xx, ww, bb, stride=stride, pad=pad),
-                    [
-                        rand_tensor(rng, (n, c, h, w)),
-                        rand_tensor(rng, (cout, c, k, k), scale=0.5),
-                        rand_tensor(rng, (cout,), scale=0.2),
-                    ],
-                    rng=rng,
-                ),
-            )
-            record(
-                "depthwise_conv2d",
-                check_gradients(
-                    lambda xx, ww, bb: T.depthwise_conv2d(xx, ww, bb, stride=stride, pad=pad),
-                    [
-                        rand_tensor(rng, (n, c, h, w)),
-                        rand_tensor(rng, (c, 1, k, k), scale=0.5),
-                        rand_tensor(rng, (c,), scale=0.2),
-                    ],
-                    rng=rng,
-                ),
-            )
+        k = 1 + rng.randint(min(3, h + 2 * pad, w + 2 * pad))  # the kernel always fits
+        stride = 1 + rng.randint(2)
+        cout = 1 + rng.randint(3)
+        record(
+            "conv2d",
+            check_gradients(
+                lambda xx, ww, bb: T.conv2d(xx, ww, bb, stride=stride, pad=pad),
+                [
+                    rand_tensor(rng, (n, c, h, w)),
+                    rand_tensor(rng, (cout, c, k, k), scale=0.5),
+                    rand_tensor(rng, (cout,), scale=0.2),
+                ],
+                rng=rng,
+            ),
+        )
+        record(
+            "depthwise_conv2d",
+            check_gradients(
+                lambda xx, ww, bb: T.depthwise_conv2d(xx, ww, bb, stride=stride, pad=pad),
+                [
+                    rand_tensor(rng, (n, c, h, w)),
+                    rand_tensor(rng, (c, 1, k, k), scale=0.5),
+                    rand_tensor(rng, (c,), scale=0.2),
+                ],
+                rng=rng,
+            ),
+        )
 
-        nn2 = max(n, 2)  # batch stats need more than one sample per channel
         rm = np.zeros(c, dtype=np.float64)
         rv = np.ones(c, dtype=np.float64)
         record(

@@ -8,11 +8,10 @@ in the stable softplus form so any finite logit yields a finite loss:
     -log sigmoid(z)       == softplus(-z)
     -log (1 - sigmoid(z)) == softplus(z)
 
-Every loss is a scalar Tensor. All three reduce by mean over
-contributing positions by default; the `reduction="sum"` flag restores
-literal summation. total_seg_objective with weight 0 returns the
-segmentation loss tensor itself, so a source-only ablation is bitwise
-identical to never computing the adversarial term.
+Every loss is a scalar Tensor: a mean over the contributing pixels.
+total_seg_objective with weight 0 returns the segmentation loss tensor
+itself, so a source-only ablation is bitwise identical to never
+computing the adversarial term.
 """
 
 from __future__ import annotations
@@ -21,35 +20,27 @@ from rtda import tensor as T
 from rtda.tensor import Tensor
 
 
-def _reduce(t: Tensor, reduction: str) -> Tensor:
-    if reduction == "mean":
-        return T.reduce_mean(t)
-    if reduction == "sum":
-        return T.reduce_sum(t)
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def seg_cross_entropy(probs: Tensor, labels, ignore_index: int = 255, reduction: str = "mean") -> Tensor:
+def seg_cross_entropy(probs: Tensor, labels) -> Tensor:
     """Cross-entropy of per-pixel probability maps against integer labels.
 
-    Pixels labeled `ignore_index` contribute to neither the sum nor the
+    Pixels labeled IGNORE_INDEX contribute to neither the sum nor the
     count; raises ValueError when nothing is left to score.
     """
-    return T.masked_nll(probs, labels, ignore_index=ignore_index, reduction=reduction)
+    return T.masked_nll(probs, labels)
 
 
-def disc_loss(d_src_logits: Tensor, d_tgt_logits: Tensor, reduction: str = "mean") -> Tensor:
+def disc_loss(d_src_logits: Tensor, d_tgt_logits: Tensor) -> Tensor:
     """Binary domain-classification loss: push sigma(d_src) toward 1 and
     sigma(d_tgt) toward 0."""
-    src_term = _reduce(T.softplus(T.neg(d_src_logits)), reduction)
-    tgt_term = _reduce(T.softplus(d_tgt_logits), reduction)
+    src_term = T.reduce_mean(T.softplus(T.neg(d_src_logits)))
+    tgt_term = T.reduce_mean(T.softplus(d_tgt_logits))
     return T.add(src_term, tgt_term)
 
 
-def adv_loss(d_tgt_logits: Tensor, reduction: str = "mean") -> Tensor:
+def adv_loss(d_tgt_logits: Tensor) -> Tensor:
     """Confusion loss on target logits: push sigma(d_tgt) toward the source
     label 1, i.e. mean -log sigma(d_tgt)."""
-    return _reduce(T.softplus(T.neg(d_tgt_logits)), reduction)
+    return T.reduce_mean(T.softplus(T.neg(d_tgt_logits)))
 
 
 def total_seg_objective(l_seg: Tensor, l_adv: Tensor, weight: float) -> Tensor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rtda.data import IGNORE_INDEX
+from rtda.tensor import IGNORE_INDEX
 
 
 class ConfusionMatrix:
@@ -21,19 +21,19 @@ class ConfusionMatrix:
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
-    def accumulate(self, pred: np.ndarray, truth: np.ndarray, ignore_index: int = IGNORE_INDEX) -> None:
+    def accumulate(self, pred: np.ndarray, truth: np.ndarray) -> None:
         pred = np.asarray(pred)
         truth = np.asarray(truth)
         if pred.shape != truth.shape:
             raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
         k = self.num_classes
-        keep = truth != ignore_index
+        keep = truth != IGNORE_INDEX
         p = pred[keep].astype(np.int64)
         t = truth[keep].astype(np.int64)
         if p.size and (p.min() < 0 or p.max() >= k):
             raise ValueError(f"prediction outside [0, {k})")
         if t.size and (t.min() < 0 or t.max() >= k):
-            raise ValueError(f"truth label outside [0, {k}) and not {ignore_index}")
+            raise ValueError(f"truth label outside [0, {k}) and not {IGNORE_INDEX}")
         np.add.at(self.counts, (t, p), 1)
 
 

@@ -84,12 +84,6 @@ class Sequential(Module):
         self._children[str(len(self.layers))] = layer
         self.layers.append(layer)
 
-    def __iter__(self):
-        return iter(self.layers)
-
-    def __len__(self):
-        return len(self.layers)
-
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         for i, layer in enumerate(self.layers):
             try:

@@ -195,12 +195,6 @@ def neg(a: Tensor) -> Tensor:
     return scale(a, -1.0)
 
 
-def log(a: Tensor) -> Tensor:
-    a_data = a.data
-    out = np.log(a_data)
-    return _result(out, (a,), lambda g: (g / a_data,), "log")
-
-
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x), split by sign so no exp overflows."""
     out = np.empty_like(x)
@@ -522,16 +516,14 @@ def softmax_channels(x: Tensor) -> Tensor:
 
 
 _NLL_CLAMP = 1e-12
+IGNORE_INDEX = 255
 
 
-def masked_nll(probs: Tensor, labels: np.ndarray, ignore_index: int = 255,
-               reduction: str = "mean") -> Tensor:
-    """-log(probs at the true class), reduced over pixels whose label is not
-    the ignore index. Fused gather+log so unselected channels never touch
+def masked_nll(probs: Tensor, labels: np.ndarray) -> Tensor:
+    """-log(probs at the true class), averaged over pixels whose label is
+    not IGNORE_INDEX. Fused gather+log so unselected channels never touch
     log(0); probabilities below _NLL_CLAMP are clamped (zero gradient there).
     """
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     if probs.data.ndim != 4:
         raise ShapeError("masked_nll expects (N,C,H,W) probabilities")
     labels = np.asarray(labels)
@@ -542,14 +534,13 @@ def masked_nll(probs: Tensor, labels: np.ndarray, ignore_index: int = 255,
         raise ShapeError(f"labels shape {labels.shape} does not match probabilities {(n, h, w)}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ShapeError("labels must be integers")
-    mask = labels != ignore_index
-    count = int(mask.sum())
-    if count == 0:
+    mask = labels != IGNORE_INDEX
+    denom = int(mask.sum())
+    if denom == 0:
         raise ValueError("masked_nll: every pixel carries the ignore index")
     scored = labels[mask]
     if scored.min() < 0 or scored.max() >= c:
-        raise ShapeError(f"labels must lie in [0, {c}) or equal {ignore_index}")
-    denom = count if reduction == "mean" else 1
+        raise ShapeError(f"labels must lie in [0, {c}) or equal {IGNORE_INDEX}")
 
     idx = np.where(mask, labels, 0)[:, None, :, :]
     gathered = np.take_along_axis(probs.data, idx, axis=1)[:, 0]

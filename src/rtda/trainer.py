@@ -77,7 +77,7 @@ class TrainState:
                                       seed=derive_seed(cfg.seed, _SEG_SALT), init=init)
         self.disc = build_discriminator(cfg.disc_variant, cfg.num_classes,
                                         seed=derive_seed(cfg.seed, _DISC_SALT),
-                                        final_zero_init=cfg.disc_final_zero_init, init=init)
+                                        final_zero_init=True, init=init)
         self.seg_opt = SGD(self.seg.named_parameters(), lr=cfg.seg_lr,
                            momentum=cfg.momentum, weight_decay=cfg.weight_decay)
         self.disc_opt = Adam(self.disc.named_parameters(), lr=cfg.disc_lr,
@@ -123,7 +123,9 @@ class TrainState:
             if name.startswith("meta.") and name != "meta.adam_step":
                 got = tensors.get(name)
                 if got is None or not np.array_equal(got, expect):
-                    raise ValueError(f"checkpoint {name}={got!s} conflicts with config value {expect!s}")
+                    field = name[len("meta."):]
+                    raise ValueError(f"checkpoint {name} conflicts with config "
+                                     f"{field} = {getattr(self.cfg, field)!r}")
         _fill({k: v for k, v in own.items() if not k.startswith("meta.")}, tensors)
         self.disc_opt.step_count = int(tensors["meta.adam_step"])
         self.iteration = iteration
@@ -170,7 +172,7 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
     try:
         # (1) supervised segmentation loss on the source batch
         src_probs = T.softmax_channels(state.seg(batch.src_images, train=True))
-        l_seg = seg_cross_entropy(src_probs, batch.src_labels, reduction=cfg.loss_reduction)
+        l_seg = seg_cross_entropy(src_probs, batch.src_labels)
         seg_val = _finite_loss(l_seg, it, "l_seg")
 
         if adapting:
@@ -179,7 +181,7 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
             # keeping the baseline a true source-only model
             state.disc.set_requires_grad(False)
             tgt_probs = T.softmax_channels(state.seg(batch.tgt_images, train=True))
-            l_adv = adv_loss(state.disc(tgt_probs, train=True), reduction=cfg.loss_reduction)
+            l_adv = adv_loss(state.disc(tgt_probs, train=True))
             _finite_loss(l_adv, it, "l_adv")
             total = total_seg_objective(l_seg, l_adv, cfg.lambda_adv)
             adv_val = l_adv.item()
@@ -205,8 +207,7 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
             both = Tensor(np.concatenate(maps, axis=0))
             d_both = state.disc(both, train=True)
             l_d = disc_loss(T.slice_batch(d_both, 0, n_src),
-                            T.slice_batch(d_both, n_src, d_both.shape[0]),
-                            reduction=cfg.loss_reduction)
+                            T.slice_batch(d_both, n_src, d_both.shape[0]))
             _finite_loss(l_d, it, "l_d")
             state.disc_opt.zero_grad()
             backward(l_d)
@@ -264,6 +265,11 @@ def run_training(cfg: TrainConfig, source: SceneDataset, target: SceneDataset,
     gets a progress line every tenth of the run. Returns (final checkpoint
     path, loss records)."""
     cfg.validate()
+    for split, data in (("source", source), ("target", target)):
+        size = data.images([0]).shape[2:]
+        if size != (cfg.image_size, cfg.image_size):
+            raise ValueError(f"{split} images are {size[0]}x{size[1]}, "
+                             f"config image_size is {cfg.image_size}")
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     state = TrainState(cfg)

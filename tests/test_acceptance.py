@@ -9,11 +9,9 @@ dominates the suite's runtime; everything else is seconds.
 import dataclasses
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
-from rtda import tensor as T
 from rtda.benchmark import BenchmarkSettings, adaptation_gap, compare_variants, variant_table
 from rtda.config import TrainConfig
 from rtda.data import SceneDataset, ShiftConfig

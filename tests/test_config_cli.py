@@ -9,7 +9,7 @@ import pytest
 import rtda
 from rtda.cli import main
 from rtda.config import ConfigError, TrainConfig, dump_config, load_config, parse_config
-from rtda.data import SceneSample, ShiftConfig, generate_dataset, write_sample
+from rtda.data import SceneSample, ShiftConfig, write_sample
 from rtda.tensor import Tensor
 
 
@@ -25,7 +25,6 @@ def test_parse_types_comments_and_quotes():
         max_iter = 12
 
         seg_lr = 1e-3
-        disc_final_zero_init = false
         disc_variant = "fcd-light"
         out_dir = runs/smoke
         """
@@ -33,7 +32,6 @@ def test_parse_types_comments_and_quotes():
     assert cfg.seed == 3
     assert cfg.max_iter == 12
     assert cfg.seg_lr == 1e-3
-    assert cfg.disc_final_zero_init is False
     assert cfg.disc_variant == "fcd-light"
     assert cfg.out_dir == "runs/smoke"
     # untouched keys keep their defaults
@@ -47,7 +45,8 @@ def test_parse_reports_line_numbers():
         parse_config("seed = 1\n\nlearning_rate = 2\n")
 
 
-@pytest.mark.parametrize("key", ["eval_split", "eval_domain", "class_subset"])
+@pytest.mark.parametrize("key", ["eval_split", "eval_domain", "class_subset",
+                                 "loss_reduction", "disc_final_zero_init"])
 def test_removed_eval_keys_are_unknown(key):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(f"{key} = target")
@@ -58,8 +57,6 @@ def test_parse_value_errors():
         parse_config("batch = 2.5")
     with pytest.raises(ConfigError, match="expected float"):
         parse_config("seg_lr = fast")
-    with pytest.raises(ConfigError, match="expected boolean"):
-        parse_config("disc_final_zero_init = maybe")
 
 
 def test_parse_applies_on_top_of_base():
@@ -137,6 +134,36 @@ def test_every_stored_attribute_is_read():
                       and node.value.id == "self"):
                     stored.add(node.attr)
     assert sorted(stored - read - _STORED_FOR_CALLERS) == []
+
+
+def _unused_imports(root, rel):
+    """Names a module imports but never reads; names in `__all__` count as
+    read, and `from __future__` imports are compiler directives."""
+    with open(os.path.join(root, rel), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted(f"{rel}:{line} {name}" for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    unused = []
+    for sub in ("src/rtda", "scripts", "tests"):
+        for path in sorted(glob.glob(os.path.join(root, sub, "*.py"))):
+            unused += _unused_imports(root, os.path.relpath(path, root))
+    assert unused == []
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +261,15 @@ def test_train_and_eval_commands(tmp_path, capsys):
         cfg, seed=-1, out_dir=str(bad_dir), checkpoint_interval=1)))
     assert main(["train", "--config", str(cfg_path)]) == 1
     assert not (bad_dir / "loss_log.csv").exists()
+
+    # so are scenes of another size than image_size, the size every
+    # checkpoint records as meta.image_size
+    wrong_size = tmp_path / "wrong_size"
+    cfg_path.write_text(dump_config(dataclasses.replace(
+        cfg, image_size=64, out_dir=str(wrong_size))))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert "source images are 32x32, config image_size is 64" in capsys.readouterr().err
+    assert not (wrong_size / "loss_log.csv").exists()
 
 
 EVAL_STDOUT = {

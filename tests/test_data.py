@@ -1,4 +1,3 @@
-import os
 import struct
 
 import numpy as np
@@ -9,10 +8,10 @@ import hypothesis.strategies as st
 from rtda.data import (
     SceneDataset,
     ShiftConfig,
-    batch_indices,
     batches_per_epoch,
     class_palette,
     derive_seed,
+    epoch_schedule,
     generate_dataset,
     generate_scene,
     load_raster,
@@ -231,20 +230,21 @@ def test_array_dataset_matches_scene_generation():
 
 
 def test_batch_indices_cover_dataset():
-    batches = batch_indices(10, 4, seed=0, epoch=0)
+    batches = epoch_schedule(10, 4, seed=0, epoch=0)
     assert [len(b) for b in batches] == [4, 4, 2]
+    assert isinstance(batches, tuple) and all(isinstance(b, tuple) for b in batches)
     flat = sorted(i for b in batches for i in b)
     assert flat == list(range(10))
 
 
 def test_batch_indices_same_seed_same_order():
-    assert batch_indices(10, 4, seed=3, epoch=1) == batch_indices(10, 4, seed=3, epoch=1)
+    assert epoch_schedule(10, 4, seed=3, epoch=1) == epoch_schedule(10, 4, seed=3, epoch=1)
 
 
 def test_batch_indices_differ_across_seeds_and_epochs():
-    a = batch_indices(10, 4, seed=0, epoch=0)
-    b = batch_indices(10, 4, seed=1, epoch=0)
-    c = batch_indices(10, 4, seed=0, epoch=1)
+    a = epoch_schedule(10, 4, seed=0, epoch=0)
+    b = epoch_schedule(10, 4, seed=1, epoch=0)
+    c = epoch_schedule(10, 4, seed=0, epoch=1)
     assert a != b
     assert a != c
 
@@ -253,19 +253,10 @@ def test_batch_indices_differ_across_seeds_and_epochs():
        seed=st.integers(0, 1 << 32), epoch=st.integers(0, 5))
 @settings(max_examples=50, deadline=None)
 def test_batch_indices_is_partition(n, batch, seed, epoch):
-    batches = batch_indices(n, batch, seed, epoch)
+    batches = epoch_schedule(n, batch, seed, epoch)
     flat = [i for b in batches for i in b]
     assert sorted(flat) == list(range(n))
     assert all(len(b) <= batch for b in batches)
-
-
-def test_batch_indices_returns_a_private_copy():
-    want = batch_indices(10, 4, seed=5, epoch=2)
-    got = batch_indices(10, 4, seed=5, epoch=2)
-    got[0][0] = -1
-    got.pop()
-    assert batch_indices(10, 4, seed=5, epoch=2) == want
-    assert all(isinstance(b, list) for b in want)
 
 
 def test_paired_batch_shuffles_once_per_epoch(monkeypatch):

@@ -4,7 +4,6 @@ import pytest
 import rtda.tensor as T
 from rtda.models import (
     DISCRIMINATOR_VARIANTS,
-    MiniBiSeNet,
     build_discriminator,
     build_mini_bisenet,
     canonical_variant,

@@ -298,9 +298,6 @@ def test_masked_nll_matches_manual():
     want = -(math.log(0.7) + math.log(0.25) + math.log(0.25)) / 3
     assert abs(out.item() - want) < 1e-6
 
-    total = T.masked_nll(Tensor(probs), labels, reduction="sum")
-    assert abs(total.item() - want * 3) < 1e-5
-
 
 def test_masked_nll_gradient_only_at_true_class():
     probs = Tensor(np.full((1, 3, 1, 2), 1 / 3, dtype=np.float32), requires_grad=True)

@@ -22,7 +22,6 @@ from rtda.optim import poly_lr
 from rtda.tensor import Tensor, backward
 from rtda.trainer import (
     CSV_HEADER,
-    LossRecord,
     NumericalAbort,
     TrainState,
     evaluate,
@@ -282,12 +281,16 @@ def test_load_rejects_conflicting_config(tmp_path):
     wrong_seed = TrainState(small_cfg(seed=1))
     with pytest.raises(ValueError, match="seed"):
         wrong_seed.load(path)
+    with pytest.raises(ValueError, match="checkpoint meta.seed conflicts with config seed = 1$"):
+        wrong_seed.load(path)
     # same layer shapes as width 1.0, so only the meta entry tells them apart
     narrower = TrainState(small_cfg(width_multiplier=0.99))
     with pytest.raises(ValueError, match="meta.width_multiplier"):
         narrower.load(path)
     other_disc = TrainState(small_cfg(disc_variant="fcd-light"))
     with pytest.raises(ValueError, match="meta.disc_variant"):
+        other_disc.load(path)
+    with pytest.raises(ValueError, match="config disc_variant = 'fcd-light'$"):
         other_disc.load(path)
 
 
