@@ -120,7 +120,7 @@ def _cmd_eval(args) -> int:
     model, num_classes, _ = load_seg_for_eval(args.ckpt)
     dataset = SceneDataset.from_dir(args.root, args.split, args.domain)
     subset = [int(tok) for tok in args.classes.split(",") if tok.strip()] if args.classes.strip() else None
-    _, _, cm = evaluate(model, dataset, num_classes, subset)
+    _, _, cm = evaluate(model, dataset, num_classes)
     sys.stdout.write(report_csv(cm, subset))
     return EXIT_OK
 

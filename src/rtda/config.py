@@ -1,13 +1,15 @@
 """Run configuration: a flat dataclass parsed from `key = value` lines.
 
-Values are typed by the dataclass field (int, float, str); unknown
-keys and malformed lines are errors, so config drift fails loudly. Blank
-lines and lines starting with `#` are skipped.
+Values are typed by the dataclass field (int, float, str); unknown or
+repeated keys, malformed lines and non-finite floats are errors, so
+config drift fails loudly. Blank lines and `#` lines are skipped.
+Optimizer and schedule settings are `rtda.optim` constants, not config.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -25,12 +27,6 @@ class TrainConfig:
 
     seg_lr: float = 2.5e-4
     disc_lr: float = 1e-5
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.99
-    adam_eps: float = 1e-8
-    poly_power: float = 0.9
     lambda_adv: float = 0.01
 
     disc_variant: str = "fcd-light-thin"
@@ -43,6 +39,9 @@ class TrainConfig:
     resume: str = ""
 
     def validate(self) -> "TrainConfig":
+        for key, kind in _FIELDS.items():
+            if kind == "float" and not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must lie in [0, 2^64)")
         if self.num_classes < 2:
@@ -55,8 +54,6 @@ class TrainConfig:
             raise ConfigError("max_iter must be nonnegative")
         if self.seg_lr <= 0 or self.disc_lr <= 0:
             raise ConfigError("learning rates must be positive")
-        if not 0 < self.poly_power <= 1:
-            raise ConfigError("poly_power must lie in (0, 1]")
         if self.lambda_adv < 0:
             raise ConfigError("lambda_adv must be nonnegative")
         if self.checkpoint_interval < 1:
@@ -86,8 +83,9 @@ def _parse_value(key: str, raw: str, kind: str):
     return raw
 
 
-def parse_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    cfg = dataclasses.replace(base) if base is not None else TrainConfig()
+def parse_config(text: str) -> TrainConfig:
+    cfg = TrainConfig()
+    seen = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -98,6 +96,9 @@ def parse_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         setattr(cfg, key, _parse_value(key, raw, _FIELDS[key]))
     return cfg.validate()
 

@@ -85,6 +85,8 @@ def run_primitive_suite(instances_per_op: int = 20, seed: int = 2024) -> dict:
     Spatial extents stay <= 4x4 and channels <= 4 so the finite-difference
     sweeps stay cheap. Returns {op_name: worst relative error}.
     """
+    if instances_per_op < 1:
+        raise ValueError("instances_per_op must be at least 1")
     rng = Xoshiro256StarStar(seed)
     report = {}
 

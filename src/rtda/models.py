@@ -173,8 +173,6 @@ class MiniBiSeNet(Module):
         if width_multiplier <= 0:
             raise ValueError("width_multiplier must be positive")
         ch = lambda c: _round_channels(c, width_multiplier)
-        self.num_classes = num_classes
-        self.width_multiplier = width_multiplier
 
         sp1, sp2, sp3 = ch(16), ch(32), ch(64)
         self.spatial = Sequential(

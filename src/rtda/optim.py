@@ -1,11 +1,13 @@
 """Parameter-update rules and the polynomial learning-rate schedule.
 
 SGD carries classic momentum with weight decay added to the gradient;
-Adam keeps bias-corrected first/second moments. Both read the gradient
-accumulated in each parameter's .grad and mutate parameter data in
-place. The current learning rate is a plain attribute so a schedule can
-be applied from outside between steps. Each optimizer names its own
-buffers in state_tensors(), as views a checkpoint load fills in place.
+Adam keeps bias-corrected first/second moments. Their hyperparameters
+and the schedule's power are the fixed AdaptSegNet values below, the one
+setting of every run. Both read the gradient accumulated in each
+parameter's .grad and mutate parameter data in place. The current
+learning rate is a plain attribute so a schedule can be applied from
+outside between steps. Each optimizer names its own buffers in
+state_tensors(), as views a checkpoint load fills in place.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ from rtda.tensor import ShapeError, Tensor
 # Adam updates parameters in flat slices of this many elements, so its
 # work arrays stay small and each slice's operands stay in cache.
 _SLICE = 1 << 16
+
+SGD_MOMENTUM = 0.9
+SGD_WEIGHT_DECAY = 5e-4
+ADAM_BETAS = (0.9, 0.99)
+ADAM_EPS = 1e-8
+POLY_POWER = 0.9
 
 
 def poly_lr(base_lr: float, iteration: int, max_iter: int, power: float) -> float:
@@ -53,21 +61,15 @@ class _Optimizer:
 
 
 class SGD(_Optimizer):
-    def __init__(self, named_params, lr: float, momentum: float = 0.9, weight_decay: float = 5e-4):
+    def __init__(self, named_params, lr: float):
         super().__init__(named_params, lr)
-        if not 0 <= momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.params}
 
     def step(self) -> None:
         for name, p in self.params:
-            g = self._grad(name, p)
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
+            g = self._grad(name, p) + SGD_WEIGHT_DECAY * p.data
             v = self.velocity[name]
-            v *= self.momentum
+            v *= SGD_MOMENTUM
             v += g
             p.data -= (self.lr * v).astype(p.data.dtype, copy=False)
 
@@ -76,13 +78,8 @@ class SGD(_Optimizer):
 
 
 class Adam(_Optimizer):
-    def __init__(self, named_params, lr: float, betas=(0.9, 0.99), eps: float = 1e-8):
+    def __init__(self, named_params, lr: float):
         super().__init__(named_params, lr)
-        b1, b2 = betas
-        if not (0 <= b1 < 1 and 0 <= b2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
-        self.betas = (b1, b2)
-        self.eps = eps
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
         self.step_count = 0
@@ -98,7 +95,7 @@ class Adam(_Optimizer):
         the same float32 operations in the same order as the allocating
         expression, so the result is bitwise the same, while the temporary
         memory stays at two slices whatever the parameter sizes."""
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - b1**t
@@ -114,7 +111,7 @@ class Adam(_Optimizer):
                 v *= b2
                 v += np.multiply(np.multiply(1.0 - b2, g, out=b), g, out=b)
                 m_hat = np.divide(m, bc1, out=a)
-                denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+                denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
                 x -= np.divide(np.multiply(self.lr, m_hat, out=a), denom, out=a)
 
     def state_tensors(self) -> dict:

@@ -31,7 +31,7 @@ from rtda.losses import adv_loss, disc_loss, seg_cross_entropy, total_seg_object
 from rtda.metrics import ConfusionMatrix, miou
 from rtda.models import build_discriminator, build_mini_bisenet, canonical_variant
 from rtda.nn import Module
-from rtda.optim import SGD, Adam, poly_lr
+from rtda.optim import POLY_POWER, SGD, Adam, poly_lr
 from rtda.tensor import NonFiniteError, Tensor, backward
 
 _SEG_SALT = 0x7365676D
@@ -78,10 +78,8 @@ class TrainState:
         self.disc = build_discriminator(cfg.disc_variant, cfg.num_classes,
                                         seed=derive_seed(cfg.seed, _DISC_SALT),
                                         final_zero_init=True, init=init)
-        self.seg_opt = SGD(self.seg.named_parameters(), lr=cfg.seg_lr,
-                           momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-        self.disc_opt = Adam(self.disc.named_parameters(), lr=cfg.disc_lr,
-                             betas=(cfg.adam_beta1, cfg.adam_beta2), eps=cfg.adam_eps)
+        self.seg_opt = SGD(self.seg.named_parameters(), lr=cfg.seg_lr)
+        self.disc_opt = Adam(self.disc.named_parameters(), lr=cfg.disc_lr)
         self.iteration = 0
         self.history: list[LossRecord] = []
         if cfg.resume:
@@ -162,8 +160,8 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
     it = state.iteration
     if it >= cfg.max_iter:
         raise ValueError(f"iteration {it} beyond max_iter {cfg.max_iter}")
-    lr_seg = poly_lr(cfg.seg_lr, it, cfg.max_iter, cfg.poly_power)
-    lr_disc = poly_lr(cfg.disc_lr, it, cfg.max_iter, cfg.poly_power)
+    lr_seg = poly_lr(cfg.seg_lr, it, cfg.max_iter, POLY_POWER)
+    lr_disc = poly_lr(cfg.disc_lr, it, cfg.max_iter, POLY_POWER)
 
     adapting = cfg.lambda_adv != 0.0
     adv_val = 0.0
@@ -182,9 +180,8 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
             state.disc.set_requires_grad(False)
             tgt_probs = T.softmax_channels(state.seg(batch.tgt_images, train=True))
             l_adv = adv_loss(state.disc(tgt_probs, train=True))
-            _finite_loss(l_adv, it, "l_adv")
+            adv_val = _finite_loss(l_adv, it, "l_adv")
             total = total_seg_objective(l_seg, l_adv, cfg.lambda_adv)
-            adv_val = l_adv.item()
             maps = (src_probs.data, tgt_probs.data)
             del tgt_probs, l_adv
         else:
@@ -208,12 +205,11 @@ def train_iteration(state: TrainState, batch: DomainBatch) -> LossRecord:
             d_both = state.disc(both, train=True)
             l_d = disc_loss(T.slice_batch(d_both, 0, n_src),
                             T.slice_batch(d_both, n_src, d_both.shape[0]))
-            _finite_loss(l_d, it, "l_d")
+            d_val = _finite_loss(l_d, it, "l_d")
             state.disc_opt.zero_grad()
             backward(l_d)
             state.disc_opt.lr = lr_disc
             state.disc_opt.step()
-            d_val = l_d.item()
     except NonFiniteError as exc:
         raise NumericalAbort(it, "forward", str(exc)) from exc
     finally:
@@ -310,8 +306,7 @@ def predict_labels(model: Module, images: Tensor) -> np.ndarray:
     return probs.data.argmax(axis=1)
 
 
-def evaluate(model: Module, dataset: SceneDataset, num_classes: int,
-             class_subset=None, batch: int = 8):
+def evaluate(model: Module, dataset: SceneDataset, num_classes: int, batch: int = 8):
     """Confusion-matrix evaluation of a segmentation model on a dataset
     split; returns (per-class IoUs, mean IoU, confusion matrix)."""
     if len(dataset) == 0:
@@ -328,7 +323,7 @@ def evaluate(model: Module, dataset: SceneDataset, num_classes: int,
     finally:
         for flag, (_, p) in zip(flags, model.named_parameters()):
             p.requires_grad = flag
-    per_class, mean = miou(cm, class_subset)
+    per_class, mean = miou(cm)
     return per_class, mean, cm
 
 

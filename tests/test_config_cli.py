@@ -46,7 +46,9 @@ def test_parse_reports_line_numbers():
 
 
 @pytest.mark.parametrize("key", ["eval_split", "eval_domain", "class_subset",
-                                 "loss_reduction", "disc_final_zero_init"])
+                                 "loss_reduction", "disc_final_zero_init",
+                                 "momentum", "weight_decay", "adam_beta1", "adam_beta2",
+                                 "adam_eps", "poly_power"])
 def test_removed_eval_keys_are_unknown(key):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(f"{key} = target")
@@ -59,11 +61,9 @@ def test_parse_value_errors():
         parse_config("seg_lr = fast")
 
 
-def test_parse_applies_on_top_of_base():
-    base = TrainConfig(seed=9, batch=8)
-    cfg = parse_config("batch = 2", base=base)
-    assert cfg.seed == 9 and cfg.batch == 2
-    assert base.batch == 8  # base untouched
+def test_parse_refuses_repeated_key():
+    with pytest.raises(ConfigError, match="line 3: key 'batch' already set on line 1"):
+        parse_config("batch = 2\nseed = 1\nbatch = 8")
 
 
 @pytest.mark.parametrize("line", [
@@ -81,10 +81,34 @@ def test_parse_applies_on_top_of_base():
     "width_multiplier = 0",
     "seed = -1",
     "seed = 18446744073709551616",
+    "seg_lr = nan",
+    "disc_lr = inf",
+    "lambda_adv = inf",
+    "width_multiplier = nan",
 ])
 def test_validation_rejects_bad_values(line):
     with pytest.raises(ConfigError):
         parse_config(line)
+
+
+def test_dump_config_pinned():
+    assert dump_config(TrainConfig()) == (
+        "seed = 0\n"
+        "num_classes = 5\n"
+        "image_size = 64\n"
+        "batch = 4\n"
+        "max_iter = 2000\n"
+        "seg_lr = 0.00025\n"
+        "disc_lr = 1e-05\n"
+        "lambda_adv = 0.01\n"
+        "disc_variant = fcd-light-thin\n"
+        "width_multiplier = 1.0\n"
+        "data_root = data\n"
+        "train_split = train\n"
+        "out_dir = runs/exp\n"
+        "checkpoint_interval = 500\n"
+        "resume = \n"
+    )
 
 
 def test_dump_round_trip(tmp_path):
@@ -219,6 +243,12 @@ def test_gradcheck_command(capsys):
     assert "conv2d" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_gradcheck_refuses_no_instances(count, capsys):
+    assert main(["gradcheck", "--instances", count]) == 1
+    assert capsys.readouterr().err == "error: instances_per_op must be at least 1\n"
+
+
 def test_gen_data_layout(tmp_path, capsys):
     root = str(tmp_path / "data")
     assert main(["gen-data", "--root", root, "--seeds", "3", "--size", "32"]) == 0
@@ -261,6 +291,15 @@ def test_train_and_eval_commands(tmp_path, capsys):
         cfg, seed=-1, out_dir=str(bad_dir), checkpoint_interval=1)))
     assert main(["train", "--config", str(cfg_path)]) == 1
     assert not (bad_dir / "loss_log.csv").exists()
+
+    # a non-finite rate is refused too, not trained until a forward overflows
+    nan_dir = tmp_path / "nan_lr"
+    cfg_path.write_text(dump_config(dataclasses.replace(
+        cfg, seg_lr=float("nan"), out_dir=str(nan_dir))))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert "error: seg_lr must be finite" in capsys.readouterr().err
+    assert not (nan_dir / "loss_log.csv").exists()
 
     # so are scenes of another size than image_size, the size every
     # checkpoint records as meta.image_size

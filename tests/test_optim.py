@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from rtda.optim import SGD, Adam, poly_lr
+from rtda.optim import ADAM_BETAS, ADAM_EPS, SGD, Adam, poly_lr
 from rtda.tensor import ShapeError, Tensor
 
 
@@ -53,31 +53,38 @@ def test_poly_lr_rejects_out_of_range():
 # SGD
 
 
+# every SGD step is v <- 0.9 v + g + 5e-4 theta, theta <- theta - lr v
+
+
 def test_sgd_plain_step():
     p = param([1.0])
     p.grad = np.array([1.0], dtype=np.float32)
-    opt = SGD([("p", p)], lr=0.1, momentum=0.0, weight_decay=0.0)
-    opt.step()
-    assert p.data[0] == pytest.approx(0.9, rel=1e-6)
+    opt = SGD([("p", p)], lr=0.1)
+    opt.step()  # v = 1 + 5e-4
+    assert p.data[0] == pytest.approx(1 - 0.1 * 1.0005, rel=1e-6)
 
 
 def test_sgd_weight_decay_only():
     p = param([1.0])
+    opt = SGD([("p", p)], lr=0.1)
     p.grad = np.zeros(1, dtype=np.float32)
-    opt = SGD([("p", p)], lr=0.1, momentum=0.0, weight_decay=5e-4)
-    opt.step()
+    opt.step()  # v = 5e-4, theta = 1 - 5e-5
     assert p.data[0] == pytest.approx(1 - 0.1 * 5e-4, rel=1e-7)
+    p.grad = np.zeros(1, dtype=np.float32)
+    opt.step()
+    v = 0.9 * 5e-4 + 5e-4 * (1 - 5e-5)
+    assert p.data[0] == pytest.approx(1 - 5e-5 - 0.1 * v, rel=1e-7)
 
 
 def test_sgd_momentum_accumulates():
     p = param([0.0])
-    opt = SGD([("p", p)], lr=1.0, momentum=0.9, weight_decay=0.0)
+    opt = SGD([("p", p)], lr=1.0)
     p.grad = np.array([1.0], dtype=np.float32)
     opt.step()  # v = 1, theta = -1
     assert p.data[0] == pytest.approx(-1.0)
     p.grad = np.array([1.0], dtype=np.float32)
-    opt.step()  # v = 1.9, theta = -2.9
-    assert p.data[0] == pytest.approx(-2.9, rel=1e-6)
+    opt.step()  # v = 0.9 + 1 - 5e-4 = 1.8995, theta = -2.8995
+    assert p.data[0] == pytest.approx(-2.8995, rel=1e-6)
 
 
 def test_sgd_lr_zero_is_bitwise_noop():
@@ -90,10 +97,14 @@ def test_sgd_lr_zero_is_bitwise_noop():
 
 
 def test_sgd_missing_grad_treated_as_zero():
-    p = param([2.0])
-    opt = SGD([("p", p)], lr=0.5, momentum=0.0, weight_decay=0.0)
-    opt.step()
-    assert p.data[0] == 2.0
+    missing, zero = param([2.0]), param([2.0])
+    opts = SGD([("p", missing)], lr=0.5), SGD([("p", zero)], lr=0.5)
+    for _ in range(2):
+        zero.grad = np.zeros(1, dtype=np.float32)
+        for opt in opts:
+            opt.step()
+        assert missing.data.tobytes() == zero.data.tobytes()
+    assert missing.data[0] < 2.0  # weight decay alone moved it
 
 
 def test_sgd_shape_mismatch_raises():
@@ -162,9 +173,8 @@ def test_adam_state_round_trip_preserves_step_count():
 
 
 def test_adam_betas_match_stated_defaults():
-    opt = Adam([("p", param([1.0]))], lr=1e-5)
-    assert opt.betas == (0.9, 0.99)
-    assert opt.eps == 1e-8
+    assert ADAM_BETAS == (0.9, 0.99)
+    assert ADAM_EPS == 1e-8
 
 
 def test_zero_grad_clears_all():
@@ -178,7 +188,7 @@ def test_zero_grad_clears_all():
 def reference_adam_step(opt):
     """The allocating Adam update, kept as the bitwise reference for the
     in-place one: same float32 operations in the same order."""
-    b1, b2 = opt.betas
+    b1, b2 = ADAM_BETAS
     opt.step_count += 1
     t = opt.step_count
     bc1 = 1.0 - b1**t
@@ -193,7 +203,7 @@ def reference_adam_step(opt):
         v += (1.0 - b2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data -= (opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)).astype(p.data.dtype, copy=False)
+        p.data -= (opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype, copy=False)
 
 
 def test_adam_step_bitwise_equals_reference():

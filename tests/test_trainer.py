@@ -18,7 +18,7 @@ from rtda.checkpoint import load_checkpoint, save_checkpoint
 from rtda.config import TrainConfig
 from rtda.data import DomainBatch, SceneDataset, ShiftConfig, paired_batch
 from rtda.losses import disc_loss, seg_cross_entropy
-from rtda.optim import poly_lr
+from rtda.optim import POLY_POWER, poly_lr
 from rtda.tensor import Tensor, backward
 from rtda.trainer import (
     CSV_HEADER,
@@ -123,7 +123,7 @@ def test_lambda_zero_trains_segmenter_as_if_alone():
         l = seg_cross_entropy(probs, batch.src_labels)
         ref.seg_opt.zero_grad()
         backward(l)
-        ref.seg_opt.lr = poly_lr(cfg.seg_lr, it, cfg.max_iter, cfg.poly_power)
+        ref.seg_opt.lr = poly_lr(cfg.seg_lr, it, cfg.max_iter, POLY_POWER)
         ref.seg_opt.step()
 
     for (name, p), (_, q) in zip(full.seg.named_parameters(), ref.seg.named_parameters()):
@@ -162,8 +162,8 @@ def test_csv_log_rows_and_lr_schedule(tmp_path):
         cols = line.split(",")
         assert int(cols[0]) == it
         # repr round-trips, so the logged rates match the closed form exactly
-        assert float(cols[4]) == poly_lr(cfg.seg_lr, it, cfg.max_iter, cfg.poly_power)
-        assert float(cols[5]) == poly_lr(cfg.disc_lr, it, cfg.max_iter, cfg.poly_power)
+        assert float(cols[4]) == poly_lr(cfg.seg_lr, it, cfg.max_iter, POLY_POWER)
+        assert float(cols[5]) == poly_lr(cfg.disc_lr, it, cfg.max_iter, POLY_POWER)
         assert all(math.isfinite(float(c)) for c in cols[1:])
 
 
@@ -402,7 +402,7 @@ def test_overfit_tiny_source_split():
     src = SceneDataset.generate(range(1), "source", shift, size=(128, 128))
     tgt = SceneDataset.generate(range(1), "target", shift, size=(128, 128))
     cfg = TrainConfig(seed=0, num_classes=5, image_size=128, batch=1, max_iter=400,
-                      seg_lr=0.1, weight_decay=0.0, lambda_adv=0.0)
+                      seg_lr=0.1, lambda_adv=0.0)
     state = TrainState(cfg)
     for it in range(cfg.max_iter):
         train_iteration(state, paired_batch(src, tgt, cfg.batch, cfg.seed, it))
